@@ -2,7 +2,7 @@
 
 import pytest
 
-from tensornorm import LatticeError, SplitMix64, TowerConfig
+from tensornorm import LatticeError, SplitMix64, TowerConfig, closure
 from tensornorm.parsing import parse_closure_elem
 
 from conftest import enumerate_level, poly_is_irreducible_brute
@@ -176,3 +176,35 @@ def test_fixture_string_round_trip(cfg2, cfg3):
         for _ in range(50):
             c = cfg.random_element(rng, rng.choice(cfg.levels))
             assert parse_closure_elem(c.fixture(), cfg) == c
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_paths_without_code_maps_agree(monkeypatch, p):
+    # the code-map tables are a cache: with them switched off, subfield
+    # membership and embeddings fall back to linear algebra and must agree
+    ref = TowerConfig(p, 4)
+    monkeypatch.setattr(closure, "_CODE_MAP_LIMIT", 1)
+    bare = TowerConfig(p, 4)
+    assert not bare._emb_codes and not bare._proj_codes
+
+    def key(c):
+        return c.level, c.code
+
+    pairs = []
+    for n in ref.levels:
+        for code in range(p**n):
+            assert bare._normalize(n, code) == ref._normalize(n, code)
+            assert bare._normalize_generic(n, code) == ref._normalize(n, code)
+            a, b = ref.from_code(n, code), bare.from_code(n, code)
+            pairs.append((a, b))
+            for t in ref.levels:
+                if t % a.level == 0:
+                    assert bare.embed_coords(b, t) == ref.embed_coords(a, t)
+            for d in ref.levels:
+                if n % d == 0:
+                    assert (list(map(key, bare.relative_coords(b, n, d)))
+                            == list(map(key, ref.relative_coords(a, n, d))))
+    for a1, b1 in pairs:
+        for a2, b2 in pairs:
+            assert key(b1 + b2) == key(a1 + a2)
+            assert key(b1 * b2) == key(a1 * a2)
