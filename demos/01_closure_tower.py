@@ -2,8 +2,7 @@
 
 Builds the lattice of fields GF(p^n) for n dividing a bound, shows the
 deterministic choice of moduli, cross-level arithmetic with canonical
-minimal-level results, the compatible embeddings, and on-demand lattice
-extension.  Run it top to bottom:
+minimal-level results, and the compatible embeddings.  Run it top to bottom:
 
     python demos/01_closure_tower.py
 """
@@ -50,13 +49,12 @@ direct = cfg._embed_code_raw(w.code, 2, 12)
 print("2 -> 4 -> 12 equals 2 -> 12:", via_4 == direct)
 
 # ---------------------------------------------------------------------------
-# The lattice extends on demand; existing embeddings are preserved.
+# A configuration is built once for its bound; a larger bound gives a
+# larger lattice.  For p=3, bound 6 adds levels 3 and 6.
 # ---------------------------------------------------------------------------
 
-small = TowerConfig(3, 4)
-print("\np=3 lattice before:", small.levels)
-small.ensure_level(6)
-print("p=3 lattice after ensure_level(6):", small.levels)
+small = TowerConfig(3, 6)
+print("\np=3 lattice:", small.levels)
 g6 = small.generator(6)
 print("generator of level 6 has (g^k == 1 first at k):",
       min(k for k in range(1, 3**6) if (g6**k).is_one))

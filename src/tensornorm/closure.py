@@ -11,8 +11,8 @@ Compatibility is obtained by anchoring everything in the top level N =
 bound: for each level m the generator is sent to the least root of f_m in
 GF(p^N), and the embedding between levels m | n is the unique map that
 commutes with both anchors.  Since GF(p^N) has exactly one subfield of
-each admissible order, the resulting table commutes; this is asserted at
-build time.
+each admissible order, the resulting table commutes; this is checked at
+build time, when the whole lattice is built at once.
 
 Elements are canonical: after every operation the result is renormalized
 to the smallest lattice level containing it, so equality and hashing are
@@ -22,6 +22,8 @@ always refers to this order.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 _TABLE_LIMIT = 256  # build full mul/inv tables for fields of at most this order
 _CODE_MAP_LIMIT = 65536  # build per-pair embed/project code maps up to this order
@@ -176,36 +178,44 @@ def _divisors(n):
 # small linear algebra over GF(p) on plain int lists
 # ---------------------------------------------------------------------------
 
+def _modp_rref(rows, ncols, p):
+    """Row-reduce a copy of rows over GF(p), choosing pivots among the first
+    ncols columns; returns (reduced rows, pivot column of each leading row)."""
+    mat = [list(r) for r in rows]
+    nrows = len(mat)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = None
+        for i in range(r, nrows):
+            if mat[i][c] % p:
+                sel = i
+                break
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        inv = pow(mat[r][c], p - 2, p)
+        mat[r] = [(x * inv) % p for x in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c] % p:
+                m = mat[i][c]
+                mat[i] = [(x - m * y) % p for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat, pivots
+
+
 class _ModPSolver:
     """Repeated exact solving of A w = v over GF(p), A fixed."""
 
     def __init__(self, rows, ncols, p):
         self.p = p
         self.ncols = ncols
-        # row-reduce [A | I]; record pivot column per reduced row
+        # row-reduce [A | I]; the identity block records the row operations
         nrows = len(rows)
         aug = [list(row) + [int(i == j) for j in range(nrows)] for i, row in enumerate(rows)]
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            sel = None
-            for i in range(r, nrows):
-                if aug[i][c] % p:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            aug[r], aug[sel] = aug[sel], aug[r]
-            inv = pow(aug[r][c], p - 2, p)
-            aug[r] = [(x * inv) % p for x in aug[r]]
-            for i in range(nrows):
-                if i != r and aug[i][c] % p:
-                    m = aug[i][c]
-                    aug[i] = [(x - m * y) % p for x, y in zip(aug[i], aug[r])]
-            pivots.append(c)
-            r += 1
-        self.rank = r
-        self.pivots = pivots
+        aug, self.pivots = _modp_rref(aug, ncols, p)
+        self.rank = len(self.pivots)
         self.transform = [row[ncols:] for row in aug]  # maps rhs to reduced rhs
 
     def solve(self, rhs):
@@ -223,37 +233,27 @@ class _ModPSolver:
 
 def _modp_kernel(rows, ncols, p):
     """Basis of the nullspace of A over GF(p)."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if mat[i][c] % p:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] % p:
-                m = mat[i][c]
-                mat[i] = [(x - m * y) % p for x, y in zip(mat[i], mat[r])]
-        pivots[c] = r
-        r += 1
+    mat, pivots = _modp_rref(rows, ncols, p)
     basis = []
     for c in range(ncols):
         if c in pivots:
             continue
         vec = [0] * ncols
         vec[c] = 1
-        for pc, pr in pivots.items():
+        for pr, pc in enumerate(pivots):
             vec[pc] = (-mat[pr][c]) % p
         basis.append(vec)
     return basis
+
+
+def _apply_cols(digits, cols, n, p):
+    """Length-n vector sum of digits[i] * cols[i] over GF(p)."""
+    out = [0] * n
+    for d, col in zip(digits, cols):
+        if d:
+            for j in range(n):
+                out[j] = (out[j] + d * col[j]) % p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +416,9 @@ class _LevelArith:
 class TowerConfig:
     """A compatible tower of finite fields presenting the closure of GF(p).
 
-    Levels are all divisors of ``level_bound``.  Building the configuration
-    is a single-threaded affair (as is :meth:`ensure_level`); once built it
-    is immutable in effect and safe to share between threads.
+    Levels are all divisors of ``level_bound``.  The whole lattice is built
+    once, here; afterwards the configuration is immutable in effect and safe
+    to share between threads.
     """
 
     def __init__(self, p: int, level_bound: int = 12):
@@ -427,47 +427,15 @@ class TowerConfig:
         if level_bound < 1:
             raise ValueError("level bound must be >= 1")
         self.p = p
-        self.level_bound = level_bound
-        self._arith = {}
-        self._build(level_bound)
+        self.level_bound = N = level_bound
+        self.levels = _divisors(N)
+        self._arith = {n: _LevelArith(p, n, _least_irreducible(p, n)) for n in self.levels}
+        top = self._arith[N]
 
-    # -- construction ------------------------------------------------------
-
-    def _build(self, bound, anchor=None):
-        """(Re)build the lattice for the given bound.
-
-        ``anchor``: on extension, (old_top_level, old_anchor_roots) used to
-        re-derive the old anchors inside the new top field so that every
-        previously existing embedding is preserved verbatim.
-        """
-        p = self.p
-        self.level_bound = bound
-        self.levels = _divisors(bound)
-        for n in self.levels:
-            if n not in self._arith:
-                self._arith[n] = _LevelArith(p, n, _least_irreducible(p, n))
-        top = self._arith[bound]
-        N = bound
-
-        # anchor root of f_m in the top field, for every level m
-        roots = {}
-        if anchor is not None:
-            old_top, old_roots = anchor
-            lift = self._least_root(old_top, top)  # embeds old top in new top
-            lift_pows = self._element_powers(lift, old_top, top)
-            for m, r in old_roots.items():
-                digs = self._arith[old_top].digits(r)
-                roots[m] = self._combine(digs, lift_pows, top)
-        for m in self.levels:
-            if m not in roots:
-                roots[m] = self._least_root(m, top)
-
-        self._anchor_roots = roots
-        # theta matrices: level-m coordinates -> top coordinates
-        theta = {}
-        for m in self.levels:
-            theta[m] = self._element_powers(roots[m], m, top)
-        self._theta = theta
+        # theta matrices: level-m coordinates -> top coordinates, sending the
+        # level-m generator to the least root of f_m in the top field
+        theta = {m: [top.digits(c) for c in self._power_codes(self._least_root(m, top), m, top)]
+                 for m in self.levels}
         theta_solvers = {
             m: _ModPSolver([[theta[m][j][i] for j in range(m)] for i in range(N)], m, p)
             for m in self.levels
@@ -481,7 +449,8 @@ class TowerConfig:
                     cols = []
                     for i in range(m):
                         w = theta_solvers[n].solve(theta[m][i])
-                        assert w is not None, "subfield containment violated"
+                        if w is None:
+                            raise RuntimeError("subfield containment violated")
                         cols.append(tuple(w))
                     emb[(m, n)] = cols
         self._emb = emb
@@ -492,27 +461,10 @@ class TowerConfig:
         self._proj_codes = {}
         for (m, n), cols in emb.items():
             if p**m <= _CODE_MAP_LIMIT:
-                fwd = []
-                back = {}
-                for code in range(p**m):
-                    digs = _code_digits(code, p, m)
-                    out = [0] * n
-                    for i, d in enumerate(digs):
-                        if d:
-                            col = cols[i]
-                            for j in range(n):
-                                out[j] = (out[j] + d * col[j]) % p
-                    ncode = _digits_code(out, p)
-                    fwd.append(ncode)
-                    back[ncode] = code
+                fwd = [_digits_code(_apply_cols(_code_digits(code, p, m), cols, n, p), p)
+                       for code in range(p**m)]
                 self._emb_codes[(m, n)] = fwd
-                self._proj_codes[(m, n)] = back
-        self._emb_solvers = {
-            pair: _ModPSolver([[cols[j][i] for j in range(len(cols))] for i in range(pair[1])],
-                              pair[0], p)
-            for pair, cols in emb.items()
-            if pair not in self._proj_codes
-        }
+                self._proj_codes[(m, n)] = {ncode: code for code, ncode in enumerate(fwd)}
 
         # subfield decomposition matrices for every pair d | l of levels
         self._rel_solvers = {}
@@ -522,10 +474,7 @@ class TowerConfig:
                     self._rel_solvers[(d, l)] = self._build_rel_solver(d, l)
 
         # least common level of every pair, and direct normalization tables
-        self._lcm_levels = {}
-        for a in self.levels:
-            for b in self.levels:
-                self._lcm_levels[(a, b)] = _lcm(a, b)
+        self._lcm_levels = {(a, b): lcm(a, b) for a in self.levels for b in self.levels}
         self._norm_tables = {}
         for n in self.levels:
             if p**n <= _TABLE_LIMIT:
@@ -538,7 +487,7 @@ class TowerConfig:
         f_m = self._arith[m].modulus
         if m == N:
             # roots are the Frobenius orbit of the residue class of x
-            y = p % top.order if N == 1 else top.code((0, 1) + (0,) * (N - 2))
+            y = self._gen_code(N)
             orbit = []
             for _ in range(m):
                 orbit.append(y)
@@ -551,25 +500,21 @@ class TowerConfig:
             power = _matp_mul(power, frob, p)
         delta = [[(power[i][j] - (1 if i == j else 0)) % p for j in range(N)] for i in range(N)]
         basis = _modp_kernel(delta, N, p)
-        assert len(basis) == m, "subfield dimension mismatch"
+        if len(basis) != m:
+            raise RuntimeError("subfield dimension mismatch")
         best = None
         for code in range(p**m):
-            coeffs = _code_digits(code, p, m)
-            vec = [0] * N
-            for c, bvec in zip(coeffs, basis):
-                if c:
-                    for j in range(N):
-                        vec[j] = (vec[j] + c * bvec[j]) % p
-            cand = top.code(vec)
+            cand = top.code(_apply_cols(_code_digits(code, p, m), basis, N, p))
             if self._eval_ppoly(f_m, cand, top) == 0:
                 if best is None or cand < best:
                     best = cand
-        assert best is not None, "modulus has no root in its own splitting field"
+        if best is None:
+            raise RuntimeError("modulus has no root in its own splitting field")
         return best
 
     def _frobenius_matrix(self, arith):
         p, N = self.p, arith.n
-        gp = arith.pow(arith.code((0, 1) + (0,) * (N - 2)) if N > 1 else 1 % p, p)
+        gp = arith.pow(self._gen_code(N), p)
         cols = []
         acc = arith.one_code()
         for _ in range(N):
@@ -584,67 +529,34 @@ class TowerConfig:
             acc = arith.add(arith.mul(acc, at), c % self.p)
         return acc
 
-    def _element_powers(self, code, m, top):
-        """Digit vectors of code^0 .. code^(m-1) in the top field."""
-        out = []
-        acc = top.one_code()
-        for _ in range(m):
-            out.append(top.digits(acc))
-            acc = top.mul(acc, code)
-        return out
-
-    def _combine(self, coeffs, powers, arith):
-        vec = [0] * arith.n
-        for c, pw in zip(coeffs, powers):
-            if c:
-                for j in range(arith.n):
-                    vec[j] = (vec[j] + c * pw[j]) % self.p
-        return arith.code(vec)
-
     def _assert_commuting(self):
+        p = self.p
         for m in self.levels:
             for n in self.levels:
                 for r in self.levels:
                     if m < n < r and n % m == 0 and r % n == 0:
-                        via = tuple(self._apply_emb_cols(self._emb[(m, n)][i], n, r)
-                                    for i in range(m))
-                        direct = tuple(tuple(c) for c in self._emb[(m, r)])
-                        assert via == direct, "embedding table does not commute"
-
-    def _apply_emb_cols(self, digits, n, r):
-        cols = self._emb[(n, r)]
-        out = [0] * r
-        for i, d in enumerate(digits):
-            if d:
-                for j in range(r):
-                    out[j] = (out[j] + d * cols[i][j]) % self.p
-        return tuple(out)
+                        via = [_apply_cols(col, self._emb[(n, r)], r, p)
+                               for col in self._emb[(m, n)]]
+                        direct = [list(col) for col in self._emb[(m, r)]]
+                        if via != direct:
+                            raise RuntimeError("embedding table does not commute")
 
     def _build_rel_solver(self, d, l):
         """Solver expressing a level-l element over the level-d subfield with
         respect to powers of the level-l generator."""
-        p = self.p
         arith = self._arith[l]
-        s = l // d
-        gen_l = arith.code((0, 1) + (0,) * (l - 2)) if l > 1 else 1 % p
-        gd_pows_at_l = []
-        if d == l:
-            gd_pows_at_l = [arith.digits(c) for c in self._power_codes(gen_l, d, arith)]
-        else:
-            fwd = self._embed_code_raw
-            gen_d_at_l = fwd(self._gen_code(d), d, l)
-            gd_pows_at_l = [arith.digits(c) for c in self._power_codes(gen_d_at_l, d, arith)]
+        gen_l = self._gen_code(l)
+        gd_pows = self._power_codes(self._embed_code_raw(self._gen_code(d), d, l), d, arith)
         cols = []
         gl_pow = arith.one_code()
-        for j in range(s):
-            for i in range(d):
-                e = arith.mul(gl_pow, arith.code(gd_pows_at_l[i]))
-                cols.append(arith.digits(e))
+        for _ in range(l // d):
+            cols.extend(arith.digits(arith.mul(gl_pow, g)) for g in gd_pows)
             gl_pow = arith.mul(gl_pow, gen_l)
         rows = [[cols[c][r] for c in range(l)] for r in range(l)]
-        return _ModPSolver(rows, l, p)
+        return _ModPSolver(rows, l, self.p)
 
     def _power_codes(self, code, count, arith):
+        """Codes of code^0 .. code^(count-1) in the given level."""
         out = []
         acc = arith.one_code()
         for _ in range(count):
@@ -656,23 +568,6 @@ class TowerConfig:
         if level == 1:
             return 0  # the residue class of x modulo f_1 = x
         return self.p  # digits (0, 1, 0, ...)
-
-    # -- lattice maintenance ------------------------------------------------
-
-    def ensure_level(self, n: int):
-        """Extend the lattice so that n becomes a level.
-
-        Existing embeddings between old levels are preserved exactly.  Must
-        not race with concurrent use; call it up front.
-        """
-        if n < 1:
-            raise LatticeError(f"invalid level {n}")
-        if self.level_bound % n == 0:
-            return
-        old_top = self.level_bound
-        old_roots = dict(self._anchor_roots)
-        new_bound = _lcm(self.level_bound, n)
-        self._build(new_bound, anchor=(old_top, old_roots))
 
     # -- element interface ---------------------------------------------------
 
@@ -705,9 +600,7 @@ class TowerConfig:
     def generator(self, level) -> "ClosureElem":
         """The power-basis generator of the requested level."""
         self._check_level(level)
-        if level == 1:
-            return ClosureElem(self, 1, 0)
-        return ClosureElem(self, level, self.p)
+        return ClosureElem(self, level, self._gen_code(level))
 
     def random_element(self, rng, level) -> "ClosureElem":
         """Uniform over GF(p^level); deterministic under the generator state."""
@@ -735,7 +628,8 @@ class TowerConfig:
             raise LatticeError("incompatible levels for relative coordinates")
         digits = self.embed_coords(elem, level)
         sol = self._rel_solvers[(base_level, level)].solve(list(digits))
-        assert sol is not None
+        if sol is None:
+            raise RuntimeError("relative coordinates have no solution")
         d = base_level
         out = []
         for j in range(level // d):
@@ -752,35 +646,21 @@ class TowerConfig:
         table = self._emb_codes.get((m, n))
         if table is not None:
             return table[code]
-        digs = _code_digits(code, self.p, m)
-        out = [0] * n
-        cols = self._emb[(m, n)]
-        for i, d in enumerate(digs):
-            if d:
-                for j in range(n):
-                    out[j] = (out[j] + d * cols[i][j]) % self.p
-        return _digits_code(out, self.p)
+        p = self.p
+        return _digits_code(_apply_cols(_code_digits(code, p, m), self._emb[(m, n)], n, p), p)
 
     def _project_code(self, code, n, m):
         """Code at level m if the level-n element lies in the level-m subfield."""
         back = self._proj_codes.get((m, n))
         if back is not None:
             return back.get(code)
-        solver = self._emb_solvers[(m, n)]
-        sol = solver.solve(list(_code_digits(code, self.p, n)))
-        if sol is None:
+        # coordinates over GF(p^m) on powers of the level-n generator are
+        # unique, so the element lies in the subfield exactly when all but
+        # the constant coefficient vanish; that coefficient is its code
+        sol = self._rel_solvers[(m, n)].solve(list(_code_digits(code, self.p, n)))
+        if any(sol[m:]):
             return None
-        # solver solutions are exact only if consistent; verify round trip
-        cand = _digits_code(sol, self.p)
-        if self._embed_code_raw(cand, m, n) != code:
-            return None
-        return cand
-
-    def _common_level(self, a, b):
-        l = self._lcm_levels.get((a, b))
-        if l is None:
-            raise LatticeError(f"levels {a}, {b} are not both in the lattice")
-        return l
+        return _digits_code(sol[:m], self.p)
 
     def _normalize(self, level, code):
         table = self._norm_tables.get(level)
@@ -801,11 +681,6 @@ class TowerConfig:
 
     def __repr__(self):
         return f"TowerConfig(p={self.p}, level_bound={self.level_bound})"
-
-
-def _lcm(a, b):
-    from math import gcd
-    return a * b // gcd(a, b)
 
 
 def _matp_mul(a, b, p):

@@ -16,6 +16,8 @@ coefficients are unfolded over powers of the common level's generator.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .magnitude import Magnitude
 from .linalg import IncrementalSystem
 from .polynomials import Polynomial, exact_div, glex_key, poly_gcd, poly_lcm
@@ -287,7 +289,8 @@ def coordinatize(elems, base_level=None) -> CoordSystem:
     nums = []
     for e in elems:
         q = exact_div(den, e.den)
-        assert q is not None
+        if q is None:
+            raise ArithmeticError("common denominator is not a multiple of a denominator")
         nums.append(e.num * q)
 
     monos = sorted({exps for f in nums for exps in f.terms}, key=glex_key)
@@ -302,7 +305,7 @@ def coordinatize(elems, base_level=None) -> CoordSystem:
     level = base_level
     for f in nums:
         for c in f.terms.values():
-            level = _lcm(level, c.level)
+            level = lcm(level, c.level)
     cfg._check_level(level)
     span = level // base_level
     basis = tuple((m, j) for m in monos for j in range(span))
@@ -317,11 +320,6 @@ def coordinatize(elems, base_level=None) -> CoordSystem:
                 row.extend(cfg.relative_coords(c, level, base_level))
         matrix.append(row)
     return CoordSystem(desc, base_level, den, basis, level, matrix)
-
-
-def _lcm(a, b):
-    from math import gcd
-    return a * b // gcd(a, b)
 
 
 def min_coset_value(x: TowerElem, span, base_level=None):

@@ -161,7 +161,7 @@ def gen_tensor_elem(setup, scenario, rng, nonzero=False) -> TensorElem:
             return z
 
 
-def _rescale_to_value(elem: TowerElem, target: Magnitude, scenario, rng):
+def _rescale_to_value(elem: TowerElem, target: Magnitude):
     """Multiply by a power of the first variable to hit the target value,
     or None when the value ratio is not a power of that variable's magnitude."""
     desc = elem.descriptor
@@ -191,8 +191,8 @@ def gen_pure_elem(setup, scenario, rng):
         terms = []
         ok = True
         for x, y in zip(xs, ys):
-            xr = _rescale_to_value(x, alpha, scenario, rng)
-            yr = _rescale_to_value(y, beta, scenario, rng)
+            xr = _rescale_to_value(x, alpha)
+            yr = _rescale_to_value(y, beta)
             if xr is None or yr is None:
                 ok = False
                 break

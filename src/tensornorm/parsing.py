@@ -66,12 +66,16 @@ def _tokenize(text):
     return tokens
 
 
+_MAX_NESTING = 100  # parentheses and unary minus signs; bounds the recursion
+
+
 class _ExprParser:
     """Recursive-descent parser producing a TowerElem."""
 
     def __init__(self, tokens, descriptor):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
         self.descriptor = descriptor
 
     def peek(self):
@@ -143,11 +147,16 @@ class _ExprParser:
     def atom(self):
         desc = self.descriptor
         kind, text, pos = self.next()
-        if kind == "op" and text == "-":
-            return -self.atom()
-        if kind == "op" and text == "(":
-            value = self.expr()
-            self.expect_op(")")
+        if kind == "op" and text in "-(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError(f"expression nested deeper than {_MAX_NESTING}", pos)
+            if text == "-":
+                value = -self.atom()
+            else:
+                value = self.expr()
+                self.expect_op(")")
+            self.depth -= 1
             return value
         if kind == "int":
             return TowerElem.constant(desc, int(text))

@@ -75,11 +75,6 @@ class Polynomial:
         e = max(self.terms, key=glex_key)
         return e, self.terms[e]
 
-    def total_degree(self):
-        if self.is_zero:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, var):
         if self.is_zero:
             return -1
@@ -231,7 +226,8 @@ def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
     if fm == gm:
         return fm
     q = exact_div(fm * gm, poly_gcd(fm, gm))
-    assert q is not None
+    if q is None:
+        raise ArithmeticError("product is not divisible by the gcd")
     return q.monic()
 
 
@@ -321,7 +317,8 @@ def _rec_exact_div(r, poly):
     out = {}
     for d, c in r.items():
         q = exact_div(c, poly)
-        assert q is not None, "inexact division in pseudo-remainder sequence"
+        if q is None:
+            raise ArithmeticError("inexact division in pseudo-remainder sequence")
         out[d] = q
     return out
 
@@ -381,7 +378,8 @@ def _gcd_multivariate(f, g):
             hpart = gpart
         elif d > 1:
             q = exact_div(gpart**d, hpart ** (d - 1))
-            assert q is not None, "subresultant invariant violated"
+            if q is None:
+                raise ArithmeticError("subresultant invariant violated")
             hpart = q
 
     rc = _rec_content(result, config, nvars - 1)

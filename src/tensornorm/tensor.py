@@ -234,7 +234,8 @@ def orthogonalize_left(z: TensorElem) -> ReducedRep:
             if not c.is_zero:
                 vs[j] = vs[j] - vs[i].scaled(c)
     terms = tuple(zip(us, vs))
-    assert all(not u.is_zero and not v.is_zero for u, v in terms)
+    if any(u.is_zero or v.is_zero for u, v in terms):
+        raise RuntimeError("orthogonalized representation has a zero factor")
     return ReducedRep(z.left_descriptor, z.right_descriptor, terms, z.base_level)
 
 

@@ -132,3 +132,14 @@ def test_failing_suite_exits_one(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "failures: 1" in out
+
+
+@pytest.mark.parametrize("prefix, suffix", [("(" * 3000, ")" * 3000), ("-" * 3000, "")],
+                         ids=["parentheses", "unary-minus"])
+def test_deep_nesting_is_parse_error(prefix, suffix, capsys):
+    # a bounded nesting depth keeps hostile input from exhausting the stack
+    code = main(["reduce", f"{prefix}t{suffix} (x) u"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: expression nested deeper than 100")
+    assert "Traceback" not in err

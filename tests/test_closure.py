@@ -137,22 +137,6 @@ def test_structural_equality_and_hash(cfg2):
     assert len({w, w * w, w**3, cfg2.one()}) == 3
 
 
-def test_ensure_level_extends_and_preserves():
-    cfg = TowerConfig(2, 4)
-    w = cfg.generator(2)
-    old_pair = {k: v for k, v in cfg._emb.items()}
-    cfg.ensure_level(3)
-    assert cfg.level_bound == 12
-    assert set(cfg.levels) == {1, 2, 3, 4, 6, 12}
-    for pair, cols in old_pair.items():
-        assert cfg._emb[pair] == cols
-    g3 = cfg.generator(3)
-    assert (g3**7).is_one  # multiplicative order divides 2^3 - 1
-    assert w * w == w + 1  # old elements still behave
-    cfg.ensure_level(6)  # already present: no-op
-    assert cfg.level_bound == 12
-
-
 def test_random_element_determinism_and_range(cfg2):
     a = [cfg2.random_element(SplitMix64(5), 4) for _ in range(10)]
     b = [cfg2.random_element(SplitMix64(5), 4) for _ in range(10)]
@@ -194,7 +178,6 @@ def test_paths_without_code_maps_agree(monkeypatch, p):
     for n in ref.levels:
         for code in range(p**n):
             assert bare._normalize(n, code) == ref._normalize(n, code)
-            assert bare._normalize_generic(n, code) == ref._normalize(n, code)
             a, b = ref.from_code(n, code), bare.from_code(n, code)
             pairs.append((a, b))
             for t in ref.levels:

@@ -1,0 +1,24 @@
+"""The demos run to completion against the current API.
+
+Demo 03 is left out: it takes seconds, and the acceptance tests already
+run the suites it shows.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", ["01_closure_tower.py", "02_norm_pipeline.py"])
+def test_demo_runs(demo):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
