@@ -22,7 +22,7 @@ for p in (2, 3):
 
 # ---------------------------------------------------------------------------
 # Non-degeneracy rides along: the norm vanishes exactly on zero elements,
-# cross-checked against the independent rank oracle.
+# the zero test on the coefficient matrix cross-checked against the sweep.
 # ---------------------------------------------------------------------------
 
 report = run_suite("nondegeneracy", ScenarioConfig(trials=200, seed=5))

@@ -8,8 +8,12 @@ Subcommands::
     check <suite> [options]         run a property suite and report
 
 Exit codes: 0 on success or confirmed expectations, 1 when a property
-suite records failures, 2 on usage, parse or configuration errors.
-Diagnostics go to stderr; reports and results to stdout.
+suite records failures, 2 on usage, parse or configuration errors
+(including scenario shapes beyond ``generators.MAX_TERMS`` and
+``MAX_DEGREE`` and towers beyond ``closure.MAX_FIELD_ORDER``), 3 on an
+internal error: any other exception, an invariant check included, is
+reported on one line without a traceback.  Diagnostics go to stderr;
+reports and results to stdout.
 """
 
 from __future__ import annotations
@@ -165,6 +169,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

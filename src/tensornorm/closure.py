@@ -27,6 +27,7 @@ from math import lcm
 
 _TABLE_LIMIT = 256  # build full mul/inv tables for fields of at most this order
 _CODE_MAP_LIMIT = 65536  # build per-pair embed/project code maps up to this order
+MAX_FIELD_ORDER = 2**24  # largest top field p**level_bound a tower may have
 
 
 class LatticeError(ValueError):
@@ -416,16 +417,24 @@ class _LevelArith:
 class TowerConfig:
     """A compatible tower of finite fields presenting the closure of GF(p).
 
-    Levels are all divisors of ``level_bound``.  The whole lattice is built
-    once, here; afterwards the configuration is immutable in effect and safe
-    to share between threads.
+    Levels are all divisors of ``level_bound``, and the top field may have
+    at most ``MAX_FIELD_ORDER`` elements.  The whole lattice is built once,
+    here; afterwards the configuration is immutable in effect and safe to
+    share between threads.
     """
 
     def __init__(self, p: int, level_bound: int = 12):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-            raise ValueError(f"p must be prime, got {p}")
         if level_bound < 1:
             raise ValueError("level bound must be >= 1")
+        # before the primality test, whose cost grows with p; for p >= 2 a
+        # bound past log2(MAX_FIELD_ORDER) is too large already
+        if p >= 2 and (level_bound >= MAX_FIELD_ORDER.bit_length()
+                       or p**level_bound > MAX_FIELD_ORDER):
+            raise ValueError(f"field order {p}^{level_bound} exceeds the limit "
+                             f"2^{MAX_FIELD_ORDER.bit_length() - 1}; "
+                             "lower p or the level bound")
+        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+            raise ValueError(f"p must be prime, got {p}")
         self.p = p
         self.level_bound = N = level_bound
         self.levels = _divisors(N)
@@ -482,18 +491,26 @@ class TowerConfig:
                                         for code in range(p**n)]
 
     def _least_root(self, m, top):
-        """Least root of f_m in the top field, in code order."""
+        """Least root of f_m in the top field, in code order.
+
+        The roots of the irreducible f_m are one Frobenius orbit, so any
+        root and its m conjugates give them all.
+        """
+        p, N = self.p, top.n
+        if m == N:
+            root = self._gen_code(N)  # the residue class of x
+        else:
+            root = self._some_root(m, top)
+        orbit = []
+        for _ in range(m):
+            orbit.append(root)
+            root = top.pow(root, p)
+        return min(orbit)
+
+    def _some_root(self, m, top):
+        """The first root of f_m met in the fixed field of Frobenius^m."""
         p, N = self.p, top.n
         f_m = self._arith[m].modulus
-        if m == N:
-            # roots are the Frobenius orbit of the residue class of x
-            y = self._gen_code(N)
-            orbit = []
-            for _ in range(m):
-                orbit.append(y)
-                y = top.pow(y, p)
-            return min(orbit)
-        # enumerate the fixed field of Frobenius^m inside the top field
         frob = self._frobenius_matrix(top)
         power = _matp_identity(N)
         for _ in range(m):
@@ -502,15 +519,11 @@ class TowerConfig:
         basis = _modp_kernel(delta, N, p)
         if len(basis) != m:
             raise RuntimeError("subfield dimension mismatch")
-        best = None
         for code in range(p**m):
             cand = top.code(_apply_cols(_code_digits(code, p, m), basis, N, p))
             if self._eval_ppoly(f_m, cand, top) == 0:
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            raise RuntimeError("modulus has no root in its own splitting field")
-        return best
+                return cand
+        raise RuntimeError("modulus has no root in its own splitting field")
 
     def _frobenius_matrix(self, arith):
         p, N = self.p, arith.n

@@ -25,6 +25,12 @@ from .polynomials import Polynomial
 from .tensor import TensorElem
 from .parsing import FieldSetup
 
+# Upper bounds on the scenario shape, checked before any work: the cost
+# of a trial grows with the product of the term counts and with the
+# degrees, and unbounded shapes make single trials run without end.
+MAX_TERMS = 8
+MAX_DEGREE = 32
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -87,6 +93,10 @@ class ScenarioConfig:
             raise ValueError("trials must be >= 1")
         if self.max_terms < 1 or self.max_degree < 1:
             raise ValueError("degree and term bounds must be >= 1")
+        if self.max_terms > MAX_TERMS:
+            raise ValueError(f"max terms must be <= {MAX_TERMS}")
+        if self.max_degree > MAX_DEGREE:
+            raise ValueError(f"max degree must be <= {MAX_DEGREE}")
         if self.offset < 0:
             raise ValueError("offset must be >= 0")
 

@@ -1,5 +1,5 @@
 """Elements of the tensor product of two function fields over a base field,
-their ring operations, the reduction pipeline and the exact norm.
+their ring operations, the exact norm and the audited reduction pipeline.
 
 A :class:`TensorElem` is a finite list of factor pairs; the represented
 element is the sum of the elementary tensors.  The base field over which
@@ -8,22 +8,51 @@ None``) or the subfield at a fixed lattice level; nothing here requires
 the base to be closed, and the norm computation below is exact over any
 of these (trivially valued) bases.
 
-The norm, defined as the infimum over all representations of the largest
-factor-value product, is computed exactly: make both factor families
-linearly independent over the base, then sweep the left factors replacing
-each by the least-value representative of its coset modulo the preceding
-ones, compensating on the right so the represented element never changes.
-For such a representation the infimum is attained and can be read off as
-the maximum, which is what :class:`ReducedRep` certifies.
+The norm is the infimum over all representations of the largest
+factor-value product.  It is read from the coefficient matrix:
+
+* Coordinatize each side once over a common denominator D: every left
+  factor is a base-field combination of atoms e_a = m_a / D_K, with m_a a
+  monomial (times a power of the coefficient level's generator on a
+  level base), and likewise f_b = m_b / D_L on the right.  Then
+  z = sum over (a, b) of M[a][b] e_a (x) f_b with M = L^T R.
+* The atoms are an orthogonal family under the Gauss value: the value of
+  a combination is the largest |e_a| whose coefficient is nonzero (the
+  base is trivially valued, and generator powers are a basis of the
+  coefficient field over the base, so they never cancel a monomial).
+* A trivially valued field is spherically complete, so by the
+  non-archimedean Hahn-Banach theorem the coordinate functionals phi_a
+  satisfy |phi_a(x)| <= |x| / |e_a| on the whole field.  Applying
+  phi_a (x) phi_b to any representation sum x_i (x) y_i of z gives
+  |M[a][b]| |e_a| |f_b| <= max |x_i| |y_i|, and the representation by
+  the atoms attains the bound.  Hence
+
+      |z| = max { |e_a| |f_b| : M[a][b] != 0 },
+
+  zero exactly when M vanishes (A. C. M. van Rooij, *Non-Archimedean
+  Functional Analysis*, 1978; C. Perez-Garcia and W. H. Schikhof,
+  *Locally Convex Spaces over Non-Archimedean Valued Fields*, 2010).
+
+:func:`tensor_norm` evaluates this formula, visiting value pairs from
+the largest product down and computing only the entries it needs;
+:func:`is_zero` tests M for zero.  The reduction pipeline stays as the
+audited certificate behind ``norm``, ``reduce`` and ``decompose``, and
+as the independent oracle for the formula: make both factor families
+linearly independent over the base, then sweep the left factors,
+replacing each by the least-value representative of its coset modulo
+the preceding ones and compensating on the right, so that the infimum is
+attained by the resulting representation and read off as its maximum
+(:class:`ReducedRep`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .magnitude import Magnitude, scaled_compare
 from .linalg import first_dependency
-from .function_fields import TowerElem, coordinatize, min_coset_value
+from .function_fields import TowerElem, coordinatize, gauss_value, min_coset_value
 
 
 class InstanceInvalidError(ValueError):
@@ -239,32 +268,86 @@ def orthogonalize_left(z: TensorElem) -> ReducedRep:
     return ReducedRep(z.left_descriptor, z.right_descriptor, terms, z.base_level)
 
 
+class CoefficientMatrix:
+    """The coefficient matrix M = L^T R of a tensor, entries on demand.
+
+    L and R coordinatize the left and right factors over the base field
+    on atoms (monomials, times generator powers on a level base) over a
+    common denominator, so that z = sum over (a, b) of M[a][b] e_a (x) f_b
+    with e_a = atom_a / D_K and f_b = atom_b / D_L.
+    """
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+
+    def entry_is_zero(self, a, b) -> bool:
+        """Whether sum_i L[i][a] R[i][b] vanishes."""
+        acc = None
+        for l_row, r_row in zip(self.left.matrix, self.right.matrix):
+            x, y = l_row[a], r_row[b]
+            if x.is_zero or y.is_zero:
+                continue
+            prod = x * y
+            acc = prod if acc is None else acc + prod
+        return acc is None or acc.is_zero
+
+
+def coefficient_matrix(z: TensorElem) -> CoefficientMatrix:
+    """Coordinatize each side of a nonempty representation once."""
+    base = z.base_level
+    return CoefficientMatrix(coordinatize([x for x, _ in z.terms], base_level=base),
+                             coordinatize([y for _, y in z.terms], base_level=base))
+
+
+def _grades(cs):
+    """(exponent, atom indices) for each distinct atom value, largest first;
+    the exponents are taken relative to the common denominator."""
+    desc = cs.descriptor
+    shift = gauss_value(cs.denominator, desc).exponent
+    grades = {}
+    for j, (exps, _) in enumerate(cs.basis):
+        grades.setdefault(desc.monomial_value(exps).exponent - shift, []).append(j)
+    return sorted(grades.items(), reverse=True)
+
+
 def tensor_norm(z: TensorElem) -> Magnitude:
-    """The exact norm; zero precisely on representations of zero."""
-    return orthogonalize_left(z).norm
+    """The exact norm; zero precisely on representations of zero.
+
+    The atoms over a common denominator are orthogonal on each side, so
+    the norm is the largest value |e_a| |f_b| over the nonzero entries of
+    the coefficient matrix (see the module docstring).  Value pairs
+    (|e_a|, |f_b|) are visited largest product first; for each, only the
+    entries of its block (the atom pairs of those two values) are
+    computed, and the walk stops at the first nonzero entry.
+    """
+    if not z.terms:
+        return Magnitude.zero()
+    m = coefficient_matrix(z)
+    left, right = _grades(m.left), _grades(m.right)
+    heap = [(-(left[0][0] + right[0][0]), 0, 0)]
+    while heap:
+        key, i, j = heappop(heap)
+        if any(not m.entry_is_zero(a, b) for a in left[i][1] for b in right[j][1]):
+            return Magnitude.pos(-key)
+        # each (i, j) is pushed once: by (i, j - 1), or by (i - 1, 0) when j = 0
+        if j + 1 < len(right):
+            heappush(heap, (-(left[i][0] + right[j + 1][0]), i, j + 1))
+        if j == 0 and i + 1 < len(left):
+            heappush(heap, (-(left[i + 1][0] + right[0][0]), i + 1, 0))
+    return Magnitude.zero()
 
 
 def is_zero(z: TensorElem) -> bool:
-    """Rank-based zero test, independent of the reduction pipeline.
-
-    The element is zero exactly when the coefficient matrix obtained by
-    coordinatizing both sides over the base field vanishes.
-    """
+    """Zero test: the element vanishes exactly when its coefficient
+    matrix does."""
     if not z.terms:
         return True
-    base = z.base_level
-    left = coordinatize([x for x, _ in z.terms], base_level=base).matrix
-    right = coordinatize([y for _, y in z.terms], base_level=base).matrix
-    m = len(z.terms)
-    for a in range(len(left[0])):
-        for b in range(len(right[0])):
-            acc = None
-            for i in range(m):
-                prod = left[i][a] * right[i][b]
-                acc = prod if acc is None else acc + prod
-            if not acc.is_zero:
-                return False
-    return True
+    m = coefficient_matrix(z)
+    return all(m.entry_is_zero(a, b)
+               for a in range(len(m.left.basis)) for b in range(len(m.right.basis)))
 
 
 def pure_decompose(z: TensorElem) -> PureDecomposition:

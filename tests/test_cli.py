@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, error reporting."""
 
 import json
+import time
 
 import pytest
 
@@ -143,3 +144,34 @@ def test_deep_nesting_is_parse_error(prefix, suffix, capsys):
     assert code == 2
     assert err.startswith("error: expression nested deeper than 100")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["--max-degree", "100000", "--trials", "2"],
+    ["--max-terms", "100000", "--trials", "1"],
+    ["--levels", "2000", "--trials", "1"],
+], ids=["degree", "terms", "levels"])
+def test_unbounded_shapes_are_usage_errors(args, capsys):
+    # bounded work on bounded input: the shape is refused before any work
+    started = time.monotonic()
+    code = main(["check", "mult-closed", *args])
+    elapsed = time.monotonic() - started
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert elapsed < 2.0
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    from tensornorm import cli
+
+    def broken_run_suite(name, scenario):
+        raise RuntimeError("orthogonalized representation\nhas a zero factor")
+
+    monkeypatch.setattr(cli, "run_suite", broken_run_suite)
+    code = main(["check", "mult-closed", "--trials", "5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "internal error: RuntimeError: orthogonalized representation has a zero factor"]

@@ -76,6 +76,24 @@ def _code_at(cfg, elem, level):
     return sum(d * cfg.p**i for i, d in enumerate(cfg.embed_coords(elem, level)))
 
 
+@pytest.mark.parametrize("p, bound", [(2, 12), (3, 6)])
+def test_generators_are_least_roots_brute_force(p, bound):
+    # oracle: walk the top field in code order, stop at the first root of f_m
+    cfg = TowerConfig(p, bound)
+    for m in cfg.levels:
+        f_m = cfg._arith[m].modulus
+        code = 0
+        while True:
+            c = cfg.from_code(bound, code)
+            acc = cfg.zero()
+            for coeff in reversed(f_m):
+                acc = acc * c + cfg.from_int(coeff)
+            if acc.is_zero:
+                break
+            code += 1
+        assert _code_at(cfg, cfg.generator(m), bound) == code
+
+
 def test_embeddings_are_field_homomorphisms(cfg2, cfg3):
     # exhaustive over all pairs of source elements, levels up to 4
     for cfg in (cfg2, cfg3):
@@ -191,3 +209,9 @@ def test_paths_without_code_maps_agree(monkeypatch, p):
         for a2, b2 in pairs:
             assert key(b1 + b2) == key(a1 + a2)
             assert key(b1 * b2) == key(a1 * a2)
+
+
+@pytest.mark.parametrize("p, bound", [(2, 25), (3, 16), (5, 12), (1000000007, 2), (2, 10**9)])
+def test_field_order_beyond_the_limit_is_refused(p, bound):
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        TowerConfig(p, bound)

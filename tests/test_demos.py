@@ -1,8 +1,4 @@
-"""The demos run to completion against the current API.
-
-Demo 03 is left out: it takes seconds, and the acceptance tests already
-run the suites it shows.
-"""
+"""The demos run to completion against the current API."""
 
 import os
 import subprocess
@@ -14,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_closure_tower.py", "02_norm_pipeline.py"])
+@pytest.mark.parametrize("demo", ["01_closure_tower.py", "02_norm_pipeline.py",
+                                  "03_multiplicativity.py"])
 def test_demo_runs(demo):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")

@@ -134,3 +134,13 @@ def test_scenario_validation():
         ScenarioConfig(max_degree=0).validate()
     with pytest.raises(ValueError):
         ScenarioConfig(offset=-1).validate()
+
+
+def test_validate_bounds_the_shape():
+    import pytest
+    from tensornorm.generators import MAX_DEGREE, MAX_TERMS
+    ScenarioConfig(max_terms=MAX_TERMS, max_degree=MAX_DEGREE).validate()
+    with pytest.raises(ValueError):
+        ScenarioConfig(max_terms=MAX_TERMS + 1).validate()
+    with pytest.raises(ValueError):
+        ScenarioConfig(max_degree=MAX_DEGREE + 1).validate()

@@ -8,7 +8,8 @@ import pytest
 
 from tensornorm import (InstanceInvalidError, Magnitude, SplitMix64, TensorElem,
                         eliminate_dependent, is_zero, orthogonalize_left,
-                        pure_decompose, tensor_norm, value_estimate_check)
+                        parse_field_setup, pure_decompose, tensor_norm,
+                        value_estimate_check)
 from tensornorm.generators import gen_tensor_elem, random_rewrite
 from tensornorm.parsing import parse_tower_elem
 
@@ -185,6 +186,23 @@ def test_norm_symmetry(setup2, setup2_base1):
         for _ in range(15):
             z = gen_tensor_elem(setup, sc, rng)
             assert tensor_norm(z) == tensor_norm(z.transpose())
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("base, right_exponent", [("closure", "-1"), ("1", "-1/2"), ("2", "1/3")],
+                         ids=["closure", "level1", "level2"])
+def test_matrix_norm_equals_sweep_norm(p, base, right_exponent):
+    # the coefficient-matrix norm against the independent sweep certificate,
+    # on 504 elements per base: random, products, sums, rewrites, zeros
+    setup = parse_field_setup(f"p {p}\nlevels 4\nbase {base}\nK t:-1\nL u:{right_exponent}\n")
+    rng = SplitMix64(98 + p)
+    sc = scenario(p=p, max_terms=2, max_degree=3)
+    for _ in range(84):
+        z = gen_tensor_elem(setup, sc, rng)
+        w = gen_tensor_elem(setup, sc, rng)
+        r = random_rewrite(z, setup, sc, rng)
+        for e in (z, z * w, z + w, r, z - r, z - z):
+            assert tensor_norm(e) == orthogonalize_left(e).norm, e
 
 
 # -- is_zero ------------------------------------------------------------------------
