@@ -9,7 +9,6 @@ and fails to be over a non-closed one.
 
 from .magnitude import Magnitude, scaled_compare
 from .closure import ClosureElem, LatticeError, TowerConfig
-from .linalg import LinearSolution, solve_linear
 from .polynomials import Polynomial, exact_div, poly_gcd, poly_lcm
 from .function_fields import (CoordSystem, ExtensionDescriptor, TowerElem,
                               coordinatize, gauss_value, min_coset_value)
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Magnitude", "scaled_compare",
     "ClosureElem", "LatticeError", "TowerConfig",
-    "LinearSolution", "solve_linear",
     "Polynomial", "exact_div", "poly_gcd", "poly_lcm",
     "CoordSystem", "ExtensionDescriptor", "TowerElem",
     "coordinatize", "gauss_value", "min_coset_value",

@@ -9,8 +9,9 @@ Subcommands::
 
 Exit codes: 0 on success or confirmed expectations, 1 when a property
 suite records failures, 2 on usage, parse or configuration errors
-(including scenario shapes beyond ``generators.MAX_TERMS`` and
-``MAX_DEGREE`` and towers beyond ``closure.MAX_FIELD_ORDER``), 3 on an
+(including scenario shapes beyond ``generators.MAX_TERMS``,
+``MAX_DEGREE`` and ``MAX_VARS`` variables per side, and towers beyond
+``closure.MAX_FIELD_ORDER``), 3 on an
 internal error: any other exception, an invariant check included, is
 reported on one line without a traceback.  Diagnostics go to stderr;
 reports and results to stdout.

@@ -24,6 +24,10 @@ from .polynomials import Polynomial, exact_div, glex_key, poly_gcd, poly_lcm
 
 _RESERVED_NAMES = {"x"}  # "(x)" is the tensor-product operator in element syntax
 
+# Most transcendentals one side may have: the multivariate gcd recurses
+# once per variable, and the number of monomials grows with the count.
+MAX_VARS = 8
+
 
 class ExtensionDescriptor:
     """One side of the tensor construction: named transcendentals with
@@ -37,6 +41,9 @@ class ExtensionDescriptor:
         if side not in ("K", "L"):
             raise ValueError(f"side must be 'K' or 'L', got {side!r}")
         names = [n for n, _ in variables]
+        if len(names) > MAX_VARS:
+            raise ValueError(f"side {side} has {len(names)} variables; at most "
+                             f"{MAX_VARS} are allowed")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
         for n, mag in variables:
@@ -286,11 +293,14 @@ def coordinatize(elems, base_level=None) -> CoordSystem:
     den = Polynomial.constant(cfg, desc.nvars, 1)
     for e in elems:
         den = poly_lcm(den, e.den)
+    cofactors = {}  # one exact division per distinct denominator
     nums = []
     for e in elems:
-        q = exact_div(den, e.den)
+        q = cofactors.get(e.den)
         if q is None:
-            raise ArithmeticError("common denominator is not a multiple of a denominator")
+            q = cofactors[e.den] = exact_div(den, e.den)
+            if q is None:
+                raise ArithmeticError("common denominator is not a multiple of a denominator")
         nums.append(e.num * q)
 
     monos = sorted({exps for f in nums for exps in f.terms}, key=glex_key)

@@ -20,7 +20,7 @@ from math import ceil
 
 from .magnitude import Magnitude
 from .closure import TowerConfig
-from .function_fields import ExtensionDescriptor, TowerElem
+from .function_fields import MAX_VARS, ExtensionDescriptor, TowerElem
 from .polynomials import Polynomial
 from .tensor import TensorElem
 from .parsing import FieldSetup
@@ -28,6 +28,8 @@ from .parsing import FieldSetup
 # Upper bounds on the scenario shape, checked before any work: the cost
 # of a trial grows with the product of the term counts and with the
 # degrees, and unbounded shapes make single trials run without end.
+# MAX_VARS, the bound on variables per side, lives with ExtensionDescriptor
+# so that setup files are bounded too.
 MAX_TERMS = 8
 MAX_DEGREE = 32
 
@@ -99,6 +101,8 @@ class ScenarioConfig:
             raise ValueError(f"max degree must be <= {MAX_DEGREE}")
         if self.offset < 0:
             raise ValueError("offset must be >= 0")
+        if max(len(self.k_vars), len(self.l_vars)) > MAX_VARS:
+            raise ValueError(f"at most {MAX_VARS} variables per side are allowed")
 
     def build_setup(self) -> FieldSetup:
         self.validate()

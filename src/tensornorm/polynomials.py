@@ -10,13 +10,73 @@ Division is exact multivariate division; gcds use the Euclidean remainder
 sequence for one variable and a subresultant pseudo-remainder sequence in
 a recursive representation for several.  Results are normalized so the
 graded-lex leading coefficient is one.
+
+Products, exact division and the univariate Euclid run on integer codes:
+the operands' coefficients are embedded once at their least common
+lattice level, the loops use that level's field arithmetic directly, and
+each result coefficient is renormalized to its minimal level once, when
+the result polynomial is built.
 """
 
 from __future__ import annotations
 
+from operator import add as _int_add, xor as _xor
+
+from .closure import ClosureElem
+
 
 def glex_key(exps):
     return (sum(exps), exps)
+
+
+# ---------------------------------------------------------------------------
+# kernels on codes of one level
+# ---------------------------------------------------------------------------
+
+def _lift(polys):
+    """(L, [{exps: code}]) with every coefficient embedded at the least
+    common level L of all of them."""
+    cfg = polys[0].config
+    lcm_levels = cfg._lcm_levels
+    level = 1
+    for f in polys:
+        for c in f.terms.values():
+            level = lcm_levels[(level, c.level)]
+    embed = cfg._embed_code_raw
+    return level, [{e: embed(c.code, c.level, level) for e, c in f.terms.items()}
+                   for f in polys]
+
+
+def _drop(config, nvars, level, codes):
+    """The polynomial of level-L codes, each coefficient at its minimal level."""
+    normalize = config._normalize
+    terms = {}
+    for e, code in codes.items():
+        if code:
+            terms[e] = ClosureElem(config, *normalize(level, code))
+    poly = Polynomial.__new__(Polynomial)
+    poly.config, poly.nvars, poly.terms = config, nvars, terms
+    return poly
+
+
+def _ops(config, level):
+    """(add, neg, mul, inv) on the codes of one level."""
+    arith = config._arith[level]
+    mul_table = arith._mul_table
+    if mul_table is None:
+        mul = arith._mul_generic
+    else:
+        def mul(a, b):
+            return mul_table[a][b]
+    add_table = arith._add_table
+    if arith.p == 2:
+        add = _xor
+    elif add_table is None:
+        add = arith._add_generic
+    else:
+        def add(a, b):
+            return add_table[a][b]
+    return add, arith.neg, mul, arith.inv
 
 
 class Polynomial:
@@ -58,7 +118,7 @@ class Polynomial:
 
     @property
     def is_constant(self):
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return not any(map(any, self.terms))
 
     def constant_value(self):
         if self.is_zero:
@@ -74,11 +134,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=glex_key)
         return e, self.terms[e]
-
-    def degree_in(self, var):
-        if self.is_zero:
-            return -1
-        return max(e[var] for e in self.terms)
 
     def sorted_terms(self, reverse=True):
         return sorted(self.terms.items(), key=lambda t: glex_key(t[0]), reverse=reverse)
@@ -115,17 +170,15 @@ class Polynomial:
 
     def __mul__(self, other):
         other = self._compat(other)
+        level, (a, b) = _lift((self, other))
+        add, _, mul, _ = _ops(self.config, level)
         out = {}
-        zero = self.config.zero()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                if e in out:
-                    out[e] = out[e] + prod
-                else:
-                    out[e] = prod
-        return Polynomial(self.config, self.nvars, out)
+        get = out.get
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(_int_add, e1, e2))
+                out[e] = add(get(e, 0), mul(c1, c2))
+        return _drop(self.config, self.nvars, level, out)
 
     __rmul__ = __mul__
 
@@ -183,19 +236,27 @@ def exact_div(f: Polynomial, g: Polynomial):
         return Polynomial.zero(f.config, f.nvars)
     if g.is_constant:
         return f.scaled(g.constant_value().inv())
-    ge, gc = g.leading()
-    gc_inv = gc.inv()
+    level, (rem, gcodes) = _lift((f, g))
+    add, neg, mul, inv = _ops(f.config, level)
+    ge = max(gcodes, key=glex_key)
+    gc_inv = inv(gcodes[ge])
+    # rem -= coeff * v^diff * g, term by term; the leading terms cancel
+    neg_rest = [(e, neg(c)) for e, c in gcodes.items() if e != ge]
     out = {}
-    rem = f
-    while not rem.is_zero:
-        re, rc = rem.leading()
+    while rem:
+        re = max(rem, key=glex_key)
         diff = tuple(a - b for a, b in zip(re, ge))
-        if any(d < 0 for d in diff):
+        if min(diff) < 0:
             return None
-        coeff = rc * gc_inv
-        out[diff] = coeff
-        rem = rem - Polynomial.monomial(f.config, f.nvars, diff, coeff) * g
-    return Polynomial(f.config, f.nvars, out)
+        coeff = out[diff] = mul(rem.pop(re), gc_inv)
+        for e, c in neg_rest:
+            e = tuple(map(_int_add, diff, e))
+            code = add(rem.get(e, 0), mul(coeff, c))
+            if code:
+                rem[e] = code
+            else:
+                rem.pop(e, None)
+    return _drop(f.config, f.nvars, level, out)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +272,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.nvars == 0 or f.is_constant or g.is_constant:
         return Polynomial.constant(f.config, f.nvars, 1)
     if f.nvars == 1:
-        return _gcd_univariate(f, g).monic()
+        return _gcd_univariate(f, g)
     return _gcd_multivariate(f, g).monic()
 
 
@@ -225,30 +286,44 @@ def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
     fm, gm = f.monic(), g.monic()
     if fm == gm:
         return fm
-    q = exact_div(fm * gm, poly_gcd(fm, gm))
+    # fm * (gm / gcd) is monic: a product of monic polynomials
+    q = exact_div(gm, poly_gcd(fm, gm))
     if q is None:
-        raise ArithmeticError("product is not divisible by the gcd")
-    return q.monic()
+        raise ArithmeticError("a polynomial is not divisible by its gcd")
+    return fm * q
 
 
 def _gcd_univariate(f, g):
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, _rem_univariate(a, b)
-    return a
+    """Monic gcd by Euclid on dense code lists (index = degree)."""
+    level, (fc, gc) = _lift((f, g))
+    add, neg, mul, inv = _ops(f.config, level)
+    a, b = _dense(fc), _dense(gc)
+    while b:
+        # a mod b, in place on a copy of a
+        db = len(b) - 1
+        lead_inv = inv(b[-1])
+        neg_b = [neg(c) for c in b[:-1]]
+        a = a[:]
+        for top in range(len(a) - 1, db - 1, -1):
+            c = a.pop()
+            if c:
+                q = mul(c, lead_inv)
+                shift = top - db
+                for j, y in enumerate(neg_b):
+                    if y:
+                        a[shift + j] = add(a[shift + j], mul(q, y))
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    lead_inv = inv(a[-1])
+    return _drop(f.config, 1, level, {(d,): mul(c, lead_inv) for d, c in enumerate(a)})
 
 
-def _rem_univariate(a, b):
-    db = b.degree_in(0)
-    _, bl = b.leading()
-    bl_inv = bl.inv()
-    rem = a
-    while not rem.is_zero and rem.degree_in(0) >= db:
-        dr = rem.degree_in(0)
-        _, rl = rem.leading()
-        shift = Polynomial.monomial(a.config, 1, (dr - db,), rl * bl_inv)
-        rem = rem - shift * b
-    return rem
+def _dense(codes):
+    out = [0] * (max(e for e, in codes) + 1)
+    for (d,), c in codes.items():
+        out[d] = c
+    return out
 
 
 # recursive view: a polynomial in vars (v0, ..., v_{n-1}) seen as a
@@ -278,15 +353,6 @@ def _rec_deg(r):
 
 def _rec_lc(r):
     return r[max(r)]
-
-
-def _rec_scale(r, poly):
-    out = {}
-    for d, c in r.items():
-        prod = c * poly
-        if not prod.is_zero:
-            out[d] = prod
-    return out
 
 
 def _rec_sub(a, b):
@@ -332,11 +398,11 @@ def _pseudo_rem(a, b):
     while rem and _rec_deg(rem) >= db:
         dr = _rec_deg(rem)
         lr = _rec_lc(rem)
-        rem = _rec_sub(_rec_scale(rem, lcb), _rec_shift_mul(b, dr - db, lr))
+        rem = _rec_sub(_rec_shift_mul(rem, 0, lcb), _rec_shift_mul(b, dr - db, lr))
         rem.pop(dr, None)
         e -= 1
     for _ in range(max(e, 0)):
-        rem = _rec_scale(rem, lcb)
+        rem = _rec_shift_mul(rem, 0, lcb)
     return rem
 
 

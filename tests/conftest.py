@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's reduction pipeline:
 exhaustive enumeration for least coset values and linear solving,
 schoolbook factor search for irreducibility, direct expansion for value
-products.  Derived expectations in the tests are computed through these.
+products, and full Gauss-Jordan elimination (``solve_linear``) for the
+library's incremental systems.  Derived expectations in the tests are
+computed through these.
 """
 
 import itertools
@@ -81,6 +83,89 @@ def brute_solutions(matrix, rhs, candidates):
         if ok:
             out.append(vec)
     return out
+
+
+class LinearSolution:
+    """Outcome of an exact linear solve.
+
+    Either ``solution`` is a vector (with ``nullspace`` a basis of the
+    homogeneous solutions), or ``certificate`` is a row combination c with
+    c^T M = 0 but c^T rhs != 0, proving inconsistency.
+    """
+
+    def __init__(self, solution=None, nullspace=None, certificate=None):
+        self.solution = solution
+        self.nullspace = nullspace if nullspace is not None else []
+        self.certificate = certificate
+
+    @property
+    def consistent(self):
+        return self.solution is not None
+
+
+def solve_linear(matrix, rhs, config):
+    """Solve M x = rhs exactly; returns a :class:`LinearSolution`.
+
+    ``matrix`` is a list of rows; all entries and ``rhs`` are closure
+    elements of one configuration.  Raises ValueError on shape mismatch.
+    """
+    nrows = len(matrix)
+    if len(rhs) != nrows:
+        raise ValueError(f"matrix has {nrows} rows but rhs has {len(rhs)} entries")
+    ncols = len(matrix[0]) if nrows else 0
+    for row in matrix:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+    zero, one = config.zero(), config.one()
+
+    rows = [list(r) for r in matrix]
+    b = list(rhs)
+    track = [[one if i == j else zero for j in range(nrows)] for i in range(nrows)]
+
+    pivots = []  # (column, row index in reduced order)
+    r = 0
+    for c in range(ncols):
+        sel = None
+        for i in range(r, nrows):
+            if not rows[i][c].is_zero:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        b[r], b[sel] = b[sel], b[r]
+        track[r], track[sel] = track[sel], track[r]
+        inv = rows[r][c].inv()
+        rows[r] = [x * inv for x in rows[r]]
+        b[r] = b[r] * inv
+        track[r] = [x * inv for x in track[r]]
+        for i in range(nrows):
+            if i != r and not rows[i][c].is_zero:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                b[i] = b[i] - f * b[r]
+                track[i] = [x - f * y for x, y in zip(track[i], track[r])]
+        pivots.append(c)
+        r += 1
+
+    for i in range(r, nrows):
+        if not b[i].is_zero:
+            return LinearSolution(certificate=track[i])
+
+    solution = [zero] * ncols
+    for k, c in enumerate(pivots):
+        solution[c] = b[k]
+    pivot_set = set(pivots)
+    nullspace = []
+    for c in range(ncols):
+        if c in pivot_set:
+            continue
+        vec = [zero] * ncols
+        vec[c] = one
+        for k, pc in enumerate(pivots):
+            vec[pc] = -rows[k][c]
+        nullspace.append(vec)
+    return LinearSolution(solution=solution, nullspace=nullspace)
 
 
 def poly_is_irreducible_brute(coeffs, p):

@@ -1,7 +1,11 @@
 """Command line behavior: outputs, exit codes, error reporting."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -175,3 +179,48 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "internal error: RuntimeError: orthogonalized representation has a zero factor"]
+
+
+def _vars(prefix, count):
+    return ",".join(f"{prefix}{i}:-1" for i in range(count))
+
+
+@pytest.mark.parametrize("flag, count", [("--k-vars", 2000), ("--k-vars", 9),
+                                         ("--l-vars", 9)],
+                         ids=["k-2000", "k-9", "l-9"])
+def test_too_many_variables_is_usage_error(flag, count, capsys):
+    started = time.monotonic()
+    code = main(["check", "mult-closed", flag, _vars("a", count), "--trials", "1"])
+    elapsed = time.monotonic() - started
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "at most 8 variables" in err
+    assert elapsed < 2.0
+
+
+def test_setup_file_with_too_many_variables_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "wide.cfg"
+    path.write_text("p 2\nlevels 4\nbase closure\nK " + " ".join(
+        f"t{i}:-1" for i in range(9)) + "\nL u:-1\n")
+    code = main(["norm", str(path), "t0 (x) u"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "at most 8" in err
+
+
+def test_variables_at_the_limit_run(capsys):
+    code = main(["check", "mult-closed", "--k-vars", _vars("a", 8),
+                 "--l-vars", _vars("b", 8), "--trials", "2", "--seed", "3"])
+    capsys.readouterr()
+    assert code == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package runs as a module from a source checkout
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-m", "tensornorm", "check", "counterexample"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "failures: 0" in done.stdout

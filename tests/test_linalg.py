@@ -1,9 +1,9 @@
 """Exact linear algebra over the closure, cross-checked by enumeration."""
 
-from tensornorm import SplitMix64, TowerConfig, solve_linear
+from tensornorm import SplitMix64, TowerConfig
 from tensornorm.linalg import IncrementalSystem, first_dependency
 
-from conftest import brute_solutions, enumerate_level
+from conftest import brute_solutions, enumerate_level, solve_linear
 
 
 def test_identity_returns_rhs(cfg2):

@@ -3,9 +3,17 @@
 gcd correctness is established by division: the result divides both
 inputs and the cofactors are coprime; a known common factor always shows
 up in the gcd of its multiples.
+
+The library's kernels run on integer codes at one common level.  The
+slow oracles below run the same algorithms one ``ClosureElem`` operation
+at a time, and a property test requires both to agree exactly.
 """
 
-from tensornorm import Polynomial, SplitMix64, exact_div, poly_gcd, poly_lcm
+import pytest
+
+from tensornorm import (Polynomial, SplitMix64, TowerConfig, exact_div, poly_gcd,
+                        poly_lcm)
+from tensornorm import polynomials
 from tensornorm.polynomials import glex_key
 
 
@@ -123,3 +131,112 @@ def test_lcm_divisibility(cfg2):
         # lcm * gcd agrees with the monic product
         prod = (a.monic() * b.monic()).monic()
         assert (m * poly_gcd(a, b)).monic() == prod
+
+
+# ---------------------------------------------------------------------------
+# slow oracles: schoolbook loops on ClosureElem coefficients
+# ---------------------------------------------------------------------------
+
+def oracle_mul(f, g):
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return Polynomial(f.config, f.nvars, out)
+
+
+def oracle_exact_div(f, g):
+    if g.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if f.is_zero:
+        return Polynomial.zero(f.config, f.nvars)
+    if g.is_constant:
+        return f.scaled(g.constant_value().inv())
+    ge, gc = g.leading()
+    gc_inv = gc.inv()
+    out = {}
+    rem = f
+    while not rem.is_zero:
+        re, rc = rem.leading()
+        diff = tuple(a - b for a, b in zip(re, ge))
+        if any(d < 0 for d in diff):
+            return None
+        coeff = rc * gc_inv
+        out[diff] = coeff
+        rem = rem - oracle_mul(Polynomial.monomial(f.config, f.nvars, diff, coeff), g)
+    return Polynomial(f.config, f.nvars, out)
+
+
+def oracle_rem_univariate(a, b):
+    def degree(f):
+        return max(e for e, in f.terms)
+
+    db = degree(b)
+    _, bl = b.leading()
+    bl_inv = bl.inv()
+    rem = a
+    while not rem.is_zero and degree(rem) >= db:
+        dr = degree(rem)
+        _, rl = rem.leading()
+        shift = Polynomial.monomial(a.config, 1, (dr - db,), rl * bl_inv)
+        rem = rem - oracle_mul(shift, b)
+    return rem
+
+
+def oracle_gcd_univariate(f, g):
+    a, b = f, g
+    while not b.is_zero:
+        a, b = b, oracle_rem_univariate(a, b)
+    return a.monic()
+
+
+def oracle_gcd(monkeypatch, f, g):
+    """poly_gcd with every product, division and Euclid on the oracles;
+    the subresultant recursion itself is shared."""
+    with monkeypatch.context() as m:
+        m.setattr(Polynomial, "__mul__", oracle_mul)
+        m.setattr(Polynomial, "__rmul__", oracle_mul)
+        m.setattr(polynomials, "exact_div", oracle_exact_div)
+        m.setattr(polynomials, "_gcd_univariate", oracle_gcd_univariate)
+        return poly_gcd(f, g)
+
+
+def oracle_lcm(monkeypatch, f, g):
+    if f.is_zero or g.is_zero:
+        return Polynomial.zero(f.config, f.nvars)
+    if f.is_constant:
+        return g.monic()
+    if g.is_constant:
+        return f.monic()
+    fm, gm = f.monic(), g.monic()
+    if fm == gm:
+        return fm
+    return oracle_exact_div(oracle_mul(fm, gm), oracle_gcd(monkeypatch, fm, gm)).monic()
+
+
+@pytest.mark.parametrize("p,bound", [(2, 4), (3, 4), (5, 4), (2, 12), (3, 6)])
+def test_code_kernels_match_oracles(p, bound, monkeypatch):
+    # (5, 4), (2, 12) and (3, 6) have levels past the multiplication-table
+    # limit, so the generic field kernels run as well as the tables
+    cfg = TowerConfig(p, bound)
+    rng = SplitMix64(1000 * p + bound)
+    mixed = 0
+    for nvars, count in ((1, 12), (2, 6), (3, 3)):
+        for _ in range(count):
+            a, b, h = (_rand_poly(cfg, rng, nvars, max_deg=2, nonzero=True)
+                       for _ in range(3))
+            mixed += len({c.level for f in (a, b, h) for c in f.terms.values()}) > 1
+            prod = a * b
+            assert prod == oracle_mul(a, b)
+            # divisible, then (usually) not
+            assert exact_div(prod, b) == oracle_exact_div(prod, b) == a
+            bumped = prod + h
+            assert exact_div(bumped, b) == oracle_exact_div(bumped, b)
+            assert exact_div(a, b) == oracle_exact_div(a, b)
+            f, g = oracle_mul(a, h), oracle_mul(b, h)
+            assert poly_gcd(f, g) == oracle_gcd(monkeypatch, f, g)
+            assert poly_gcd(a, b) == oracle_gcd(monkeypatch, a, b)
+            assert poly_lcm(f, g) == oracle_lcm(monkeypatch, f, g)
+            assert poly_lcm(a, h) == oracle_lcm(monkeypatch, a, h)
+    assert mixed >= 10  # coefficients at several lattice levels at once
