@@ -19,14 +19,21 @@ to the smallest lattice level containing it, so equality and hashing are
 structural.  Field elements of one level are enumerated by their
 coordinate vectors read as base-p integers ("codes"); "least element"
 always refers to this order.
+
+Arithmetic on a level of order q <= _TABLE_LIMIT is table lookup in the
+antilog and log tables of its least primitive element g and, for odd p,
+its Zech logarithms log(1 + g^d) (Lidl & Niederreiter, *Finite Fields*),
+built in O(q) steps of one multiplication by g.  Past the limit, and as
+the tests' oracle, the generic kernels run.
 """
 
 from __future__ import annotations
 
 from math import lcm
+from operator import pos, xor
 
-_TABLE_LIMIT = 256  # build full mul/inv tables for fields of at most this order
-_CODE_MAP_LIMIT = 65536  # build per-pair embed/project code maps up to this order
+_TABLE_LIMIT = 2**16  # log/antilog (Zech) tables for fields of at most this order
+_CODE_MAP_LIMIT = 65536  # build per-pair embedding code maps up to this order
 MAX_FIELD_ORDER = 2**24  # largest top field p**level_bound a tower may have
 
 
@@ -44,16 +51,6 @@ def _pstrip(c):
     while i > 0 and c[i - 1] == 0:
         i -= 1
     return tuple(c[:i])
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] + x) % p
-    return _pstrip(out)
 
 
 def _psub(a, b, p):
@@ -232,21 +229,6 @@ class _ModPSolver:
         return out
 
 
-def _modp_kernel(rows, ncols, p):
-    """Basis of the nullspace of A over GF(p)."""
-    mat, pivots = _modp_rref(rows, ncols, p)
-    basis = []
-    for c in range(ncols):
-        if c in pivots:
-            continue
-        vec = [0] * ncols
-        vec[c] = 1
-        for pr, pc in enumerate(pivots):
-            vec[pc] = (-mat[pr][c]) % p
-        basis.append(vec)
-    return basis
-
-
 def _apply_cols(digits, cols, n, p):
     """Length-n vector sum of digits[i] * cols[i] over GF(p)."""
     out = [0] * n
@@ -262,26 +244,23 @@ def _apply_cols(digits, cols, n, p):
 # ---------------------------------------------------------------------------
 
 class _LevelArith:
-    """Arithmetic in GF(p^n) = GF(p)[x]/(f_n), elements encoded as codes."""
+    """Arithmetic in GF(p^n) = GF(p)[x]/(f_n), elements encoded as codes;
+    ``add``, ``neg``, ``mul`` and ``inv`` are the table lookups up to
+    order ``_TABLE_LIMIT`` and the ``_*_generic`` kernels past it."""
 
     def __init__(self, p, n, modulus):
         self.p = p
         self.n = n
         self.order = p**n
         self.modulus = modulus
-        # x^(n+k) mod f for schoolbook reduction of products
-        red = []
-        cur = _pmod((0,) * n + (1,), modulus, p)
-        for _ in range(n - 1):
-            red.append(cur + (0,) * (n - len(cur)))
-            cur = _pmod(_pmul(cur, (0, 1), p), modulus, p)
-        self._reduction = red
-        self._mul_table = None
-        self._inv_table = None
-        self._add_table = None
-        self._neg_table = None
+        self._modulus_code = _digits_code(modulus, p)  # x^n included
+        if p == 2:
+            self.add, self.neg = xor, pos  # -a = a in characteristic 2
+        else:
+            self.add, self.neg = self._add_generic, self._neg_generic
+        self.mul, self.inv = self._mul_generic, self._inv_generic
         if self.order <= _TABLE_LIMIT:
-            self._build_tables()
+            self._use_log_tables()
 
     def digits(self, code):
         return _code_digits(code, self.p, self.n)
@@ -289,49 +268,85 @@ class _LevelArith:
     def code(self, digits):
         return _digits_code(digits, self.p)
 
-    def _build_tables(self):
-        q = self.order
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                c = self._mul_generic(a, b)
-                mul[a][b] = c
-                mul[b][a] = c
-        self._mul_table = mul
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self._inv_generic(a)
-        self._inv_table = inv
-        if self.p != 2:
-            add = [[0] * q for _ in range(q)]
-            for a in range(q):
-                for b in range(a, q):
-                    c = self._add_generic(a, b)
-                    add[a][b] = c
-                    add[b][a] = c
-            self._add_table = add
-            self._neg_table = [self._neg_generic(a) for a in range(q)]
-        else:
-            self._add_table = None
-            self._neg_table = None
+    def _use_log_tables(self):
+        """Swap in table arithmetic: exp[k] = g^k for the least primitive
+        element g, exp doubled so that exponent sums need no reduction,
+        log its inverse and, for odd p, zech[d] = log(1 + g^d) (None where
+        1 + g^d = 0).  O(q) steps, each one multiplication by g."""
+        p, q = self.p, self.order
+        m = q - 1
+        exp = self._powers(self._least_primitive())
+        log = [None] * q
+        for k, a in enumerate(exp):
+            log[a] = k
+        exp += exp
+        self.exp, self.log = exp, log
 
-    def add(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add_generic(a, b)
+        def mul(a, b):
+            return exp[log[a] + log[b]] if a and b else 0
+
+        def inv(a):
+            if not a:
+                raise ZeroDivisionError("inverse of zero field element")
+            return exp[m - log[a]]
+
+        self.mul, self.inv = mul, inv
+        if p == 2:
+            return
+        # 1 + a only changes the constant digit of a's code
+        zech = [log[a + 1 if a % p != p - 1 else a + 1 - p] for a in exp[:m]]
+        half = m // 2  # g^half = -1
+
+        def add(a, b):
+            if a and b:
+                la = log[a]
+                z = zech[log[b] - la]  # a negative index wraps modulo q - 1
+                return 0 if z is None else exp[la + z]
+            return a or b
+
+        def neg(a):
+            return exp[log[a] + half] if a else 0
+
+        self.zech = zech
+        self.add, self.neg = add, neg
+
+    def _least_primitive(self):
+        """Least code of multiplicative order q - 1."""
+        m = self.order - 1
+        cofactors = [m // r for r in _prime_factors(m)]
+        for g in range(1, self.order):
+            if all(self.pow(g, e) != 1 for e in cofactors):
+                return g
+        raise RuntimeError("no primitive element")
+
+    def _powers(self, g):
+        """Codes of g^0 .. g^(q-2), each from the last by one multiplication
+        by g.  For p=2 and for GF(p) that is one ``_mul_generic``; otherwise
+        g*a = g*lo + g*x^h*hi for the low h = n//2 and the high digits of a,
+        two lookups in tables of about sqrt(q) digit vectors and one digit
+        vector sum."""
+        p, n, m = self.p, self.n, self.order - 1
+        mul = self._mul_generic
+        out = [1] * m
+        a = 1
+        if p == 2 or n == 1:
+            for k in range(1, m):
+                a = out[k] = mul(a, g)
+            return out
+        low = p ** (n // 2)  # also the code of x^(n//2)
+        lo_t = [self.digits(mul(g, c)) for c in range(low)]
+        g_hi = mul(g, low)
+        hi_t = [self.digits(mul(g_hi, c)) for c in range(self.order // low)]
+        weights = [p**i for i in range(n)]
+        for k in range(1, m):
+            hi, lo = divmod(a, low)
+            a = out[k] = sum([(x + y) % p * w
+                              for x, y, w in zip(lo_t[lo], hi_t[hi], weights)])
+        return out
 
     def _add_generic(self, a, b):
         da, db = self.digits(a), self.digits(b)
         return self.code(tuple((x + y) % self.p for x, y in zip(da, db)))
-
-    def neg(self, a):
-        if self.p == 2:
-            return a
-        if self._neg_table is not None:
-            return self._neg_table[a]
-        return self._neg_generic(a)
 
     def _neg_generic(self, a):
         return self.code(tuple((-x) % self.p for x in self.digits(a)))
@@ -339,38 +354,46 @@ class _LevelArith:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def mul(self, a, b):
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_generic(a, b)
-
     def _mul_generic(self, a, b):
         p, n = self.p, self.n
-        da, db = self.digits(a), self.digits(b)
+        if p == 2:
+            # carry-less product, then shift-and-xor reduction by f
+            if a < b:
+                a, b = b, a
+            r = 0
+            while b:
+                if b & 1:
+                    r ^= a
+                a <<= 1
+                b >>= 1
+            f = self._modulus_code
+            while r.bit_length() > n:
+                r ^= f << (r.bit_length() - 1 - n)
+            return r
+        db = self.digits(b)
         prod = [0] * (2 * n - 1)
-        for i, x in enumerate(da):
+        for i, x in enumerate(self.digits(a)):
             if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        out = list(prod[:n])
-        for k in range(n - 1):
-            c = prod[n + k]
-            if c:
-                row = self._reduction[k]
-                for i in range(n):
-                    out[i] = (out[i] + c * row[i]) % p
-        return self.code(out)
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self._inv_generic(a)
+                for j, y in enumerate(db, i):
+                    prod[j] += x * y
+        return self.code([c % p for c in _pmod(prod, self.modulus, p)])
 
     def _inv_generic(self, a):
         # extended Euclid in GF(p)[x] against the level modulus
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero field element")
         p = self.p
+        if p == 2:
+            # on bit-packed polynomials: u = s*a mod f and v = t*a mod f
+            # throughout, and deg s, deg t stay below n
+            u, v, s, t = a, self._modulus_code, 1, 0
+            while u != 1:
+                j = u.bit_length() - v.bit_length()
+                if j < 0:
+                    u, v, s, t, j = v, u, t, s, -j
+                u ^= v << j
+                s ^= t << j
+            return s
         r0, r1 = self.modulus, _pstrip(self.digits(a))
         s0, s1 = (), (1,)
         while r1:
@@ -397,7 +420,7 @@ class _LevelArith:
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        res = self.one_code()
+        res = 1
         acc = a
         while e:
             if e & 1:
@@ -405,9 +428,6 @@ class _LevelArith:
             acc = self.mul(acc, acc)
             e >>= 1
         return res
-
-    def one_code(self):
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +463,8 @@ class TowerConfig:
 
         # theta matrices: level-m coordinates -> top coordinates, sending the
         # level-m generator to the least root of f_m in the top field
-        theta = {m: [top.digits(c) for c in self._power_codes(self._least_root(m, top), m, top)]
+        g = top._least_primitive()
+        theta = {m: [top.digits(c) for c in self._power_codes(self._least_root(m, top, g), m, top)]
                  for m in self.levels}
         theta_solvers = {
             m: _ModPSolver([[theta[m][j][i] for j in range(m)] for i in range(N)], m, p)
@@ -465,15 +486,13 @@ class TowerConfig:
         self._emb = emb
         self._assert_commuting()
 
-        # fast code maps for small source fields, both directions
+        # fast embedding code maps for small source fields
         self._emb_codes = {}
-        self._proj_codes = {}
         for (m, n), cols in emb.items():
             if p**m <= _CODE_MAP_LIMIT:
-                fwd = [_digits_code(_apply_cols(_code_digits(code, p, m), cols, n, p), p)
-                       for code in range(p**m)]
-                self._emb_codes[(m, n)] = fwd
-                self._proj_codes[(m, n)] = {ncode: code for code, ncode in enumerate(fwd)}
+                self._emb_codes[(m, n)] = [
+                    _digits_code(_apply_cols(_code_digits(code, p, m), cols, n, p), p)
+                    for code in range(p**m)]
 
         # subfield decomposition matrices for every pair d | l of levels
         self._rel_solvers = {}
@@ -482,58 +501,48 @@ class TowerConfig:
                 if l % d == 0:
                     self._rel_solvers[(d, l)] = self._build_rel_solver(d, l)
 
-        # least common level of every pair, and direct normalization tables
+        # least common level of every pair; and per level, (least level, code
+        # there) of each element of a proper subfield: the subfields' images
+        # are written largest first, so every code ends at its least level
+        # (a proper subfield has at most sqrt(MAX_FIELD_ORDER) elements)
         self._lcm_levels = {(a, b): lcm(a, b) for a in self.levels for b in self.levels}
-        self._norm_tables = {}
+        self._subfield_codes = {}
         for n in self.levels:
-            if p**n <= _TABLE_LIMIT:
-                self._norm_tables[n] = [self._normalize_generic(n, code)
-                                        for code in range(p**n)]
+            down = self._subfield_codes[n] = {}
+            for m in reversed(_divisors(n)[:-1]):
+                for code in range(p**m):
+                    down[self._embed_code_raw(code, m, n)] = (m, code)
 
-    def _least_root(self, m, top):
+    def _least_root(self, m, top, g):
         """Least root of f_m in the top field, in code order.
 
         The roots of the irreducible f_m are one Frobenius orbit, so any
         root and its m conjugates give them all.
         """
         p, N = self.p, top.n
-        if m == N:
-            root = self._gen_code(N)  # the residue class of x
+        if m in (1, N):
+            root = self._gen_code(m)  # x modulo f_N, or 0, the root of f_1 = x
         else:
-            root = self._some_root(m, top)
+            root = self._some_root(m, top, g)
         orbit = []
         for _ in range(m):
             orbit.append(root)
             root = top.pow(root, p)
         return min(orbit)
 
-    def _some_root(self, m, top):
-        """The first root of f_m met in the fixed field of Frobenius^m."""
-        p, N = self.p, top.n
+    def _some_root(self, m, top, g):
+        """The first root of f_m among the powers of g^((p^N - 1)/(p^m - 1)),
+        which for a primitive g of the top field run through the nonzero
+        elements of its subfield of order p^m."""
         f_m = self._arith[m].modulus
-        frob = self._frobenius_matrix(top)
-        power = _matp_identity(N)
-        for _ in range(m):
-            power = _matp_mul(power, frob, p)
-        delta = [[(power[i][j] - (1 if i == j else 0)) % p for j in range(N)] for i in range(N)]
-        basis = _modp_kernel(delta, N, p)
-        if len(basis) != m:
-            raise RuntimeError("subfield dimension mismatch")
-        for code in range(p**m):
-            cand = top.code(_apply_cols(_code_digits(code, p, m), basis, N, p))
-            if self._eval_ppoly(f_m, cand, top) == 0:
-                return cand
+        size = self.p**m - 1
+        h = top.pow(g, (top.order - 1) // size)
+        root = 1
+        for _ in range(size):
+            if self._eval_ppoly(f_m, root, top) == 0:
+                return root
+            root = top.mul(root, h)
         raise RuntimeError("modulus has no root in its own splitting field")
-
-    def _frobenius_matrix(self, arith):
-        p, N = self.p, arith.n
-        gp = arith.pow(self._gen_code(N), p)
-        cols = []
-        acc = arith.one_code()
-        for _ in range(N):
-            cols.append(arith.digits(acc))
-            acc = arith.mul(acc, gp)
-        return [[cols[j][i] for j in range(N)] for i in range(N)]
 
     def _eval_ppoly(self, coeffs, at, arith):
         """Evaluate a GF(p)-coefficient polynomial at a field element code."""
@@ -561,7 +570,7 @@ class TowerConfig:
         gen_l = self._gen_code(l)
         gd_pows = self._power_codes(self._embed_code_raw(self._gen_code(d), d, l), d, arith)
         cols = []
-        gl_pow = arith.one_code()
+        gl_pow = 1
         for _ in range(l // d):
             cols.extend(arith.digits(arith.mul(gl_pow, g)) for g in gd_pows)
             gl_pow = arith.mul(gl_pow, gen_l)
@@ -571,7 +580,7 @@ class TowerConfig:
     def _power_codes(self, code, count, arith):
         """Codes of code^0 .. code^(count-1) in the given level."""
         out = []
-        acc = arith.one_code()
+        acc = 1
         for _ in range(count):
             out.append(acc)
             acc = arith.mul(acc, code)
@@ -662,54 +671,12 @@ class TowerConfig:
         p = self.p
         return _digits_code(_apply_cols(_code_digits(code, p, m), self._emb[(m, n)], n, p), p)
 
-    def _project_code(self, code, n, m):
-        """Code at level m if the level-n element lies in the level-m subfield."""
-        back = self._proj_codes.get((m, n))
-        if back is not None:
-            return back.get(code)
-        # coordinates over GF(p^m) on powers of the level-n generator are
-        # unique, so the element lies in the subfield exactly when all but
-        # the constant coefficient vanish; that coefficient is its code
-        sol = self._rel_solvers[(m, n)].solve(list(_code_digits(code, self.p, n)))
-        if any(sol[m:]):
-            return None
-        return _digits_code(sol[:m], self.p)
-
     def _normalize(self, level, code):
-        table = self._norm_tables.get(level)
-        if table is not None:
-            return table[code]
-        return self._normalize_generic(level, code)
-
-    def _normalize_generic(self, level, code):
-        if code < self.p:
-            return 1, code
-        for m in _divisors(level)[:-1]:
-            if m == 1:
-                continue  # handled by the constant fast path above
-            down = self._project_code(code, level, m)
-            if down is not None:
-                return m, down
-        return level, code
+        """(least level, code there) of the element with this code at this level."""
+        return self._subfield_codes[level].get(code) or (level, code)
 
     def __repr__(self):
         return f"TowerConfig(p={self.p}, level_bound={self.level_bound})"
-
-
-def _matp_mul(a, b, p):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            x = a[i][t]
-            if x:
-                for j in range(m):
-                    out[i][j] = (out[i][j] + x * b[t][j]) % p
-    return out
-
-
-def _matp_identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 class ClosureElem:

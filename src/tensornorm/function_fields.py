@@ -258,9 +258,16 @@ class CoordSystem:
         self.coeff_level = coeff_level
         self.matrix = matrix
 
-    def atom_value(self, j) -> Magnitude:
-        """Magnitude of basis atom j (the generator power contributes one)."""
-        return self.descriptor.monomial_value(self.basis[j][0])
+    def atom_grades(self):
+        """{magnitude: atom indices} over the basis (the generator power
+        contributes one), with one value computed per monomial."""
+        values, grades = {}, {}
+        for j, (exps, _) in enumerate(self.basis):
+            value = values.get(exps)
+            if value is None:
+                value = values[exps] = self.descriptor.monomial_value(exps)
+            grades.setdefault(value, []).append(j)
+        return grades
 
     def reconstruct(self, row) -> TowerElem:
         cfg = self.descriptor.config
@@ -290,18 +297,16 @@ def coordinatize(elems, base_level=None) -> CoordSystem:
         if e.descriptor is not desc:
             raise ValueError("elements of different extensions")
 
+    # one lcm fold and one exact division per distinct denominator
+    cofactors = dict.fromkeys(e.den for e in elems)
     den = Polynomial.constant(cfg, desc.nvars, 1)
-    for e in elems:
-        den = poly_lcm(den, e.den)
-    cofactors = {}  # one exact division per distinct denominator
-    nums = []
-    for e in elems:
-        q = cofactors.get(e.den)
+    for d in cofactors:
+        den = poly_lcm(den, d)
+    for d in cofactors:
+        q = cofactors[d] = exact_div(den, d)
         if q is None:
-            q = cofactors[e.den] = exact_div(den, e.den)
-            if q is None:
-                raise ArithmeticError("common denominator is not a multiple of a denominator")
-        nums.append(e.num * q)
+            raise ArithmeticError("common denominator is not a multiple of a denominator")
+    nums = [e.num * cofactors[e.den] for e in elems]
 
     monos = sorted({exps for f in nums for exps in f.terms}, key=glex_key)
     zero = cfg.zero()
@@ -350,9 +355,7 @@ def min_coset_value(x: TowerElem, span, base_level=None):
     rows = cs.matrix[1:]
     d = len(span)
 
-    grades = {}
-    for j in range(len(cs.basis)):
-        grades.setdefault(cs.atom_value(j), []).append(j)
+    grades = cs.atom_grades()
     ordered = sorted(grades, reverse=True)
 
     system = IncrementalSystem(d, cfg)

@@ -67,6 +67,11 @@ def _tokenize(text):
 
 
 _MAX_NESTING = 100  # parentheses and unary minus signs; bounds the recursion
+MAX_POWER_DEGREE = 256  # largest total degree a power's numerator or denominator may reach
+
+
+def _total_degree(poly):
+    return max((sum(exps) for exps in poly.terms), default=0)
 
 
 class _ExprParser:
@@ -141,6 +146,11 @@ class _ExprParser:
             e = sign * int(text)
             if e < 0 and value.is_zero:
                 raise ParseError("zero raised to a negative power", pos)
+            # refused before it is computed: the work grows with the degree
+            degree = abs(e) * max(_total_degree(value.num), _total_degree(value.den))
+            if degree > MAX_POWER_DEGREE:
+                raise ParseError(f"power of total degree {degree} exceeds the limit "
+                                 f"{MAX_POWER_DEGREE}", pos)
             value = value**e
         return value
 

@@ -20,7 +20,7 @@ the result polynomial is built.
 
 from __future__ import annotations
 
-from operator import add as _int_add, xor as _xor
+from operator import add as _int_add
 
 from .closure import ClosureElem
 
@@ -62,21 +62,7 @@ def _drop(config, nvars, level, codes):
 def _ops(config, level):
     """(add, neg, mul, inv) on the codes of one level."""
     arith = config._arith[level]
-    mul_table = arith._mul_table
-    if mul_table is None:
-        mul = arith._mul_generic
-    else:
-        def mul(a, b):
-            return mul_table[a][b]
-    add_table = arith._add_table
-    if arith.p == 2:
-        add = _xor
-    elif add_table is None:
-        add = arith._add_generic
-    else:
-        def add(a, b):
-            return add_table[a][b]
-    return add, arith.neg, mul, arith.inv
+    return arith.add, arith.neg, arith.mul, arith.inv
 
 
 class Polynomial:

@@ -305,12 +305,9 @@ def coefficient_matrix(z: TensorElem) -> CoefficientMatrix:
 def _grades(cs):
     """(exponent, atom indices) for each distinct atom value, largest first;
     the exponents are taken relative to the common denominator."""
-    desc = cs.descriptor
-    shift = gauss_value(cs.denominator, desc).exponent
-    grades = {}
-    for j, (exps, _) in enumerate(cs.basis):
-        grades.setdefault(desc.monomial_value(exps).exponent - shift, []).append(j)
-    return sorted(grades.items(), reverse=True)
+    shift = gauss_value(cs.denominator, cs.descriptor).exponent
+    return sorted(((value.exponent - shift, atoms)
+                   for value, atoms in cs.atom_grades().items()), reverse=True)
 
 
 def tensor_norm(z: TensorElem) -> Magnitude:

@@ -150,6 +150,31 @@ def test_deep_nesting_is_parse_error(prefix, suffix, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("element, degree", [
+    ("(1+t+t^3)^99999999 (x) 1", 299999997),
+    ("((1+t)^64)^64 (x) u", 4096),
+    ("1 (x) (u/(1+u^2))^-129", 258),
+    ("t^257 (x) u", 257),
+], ids=["huge-exponent", "nested", "negative-exponent", "monomial"])
+def test_power_past_the_degree_bound_is_parse_error(element, degree, fields_file, capsys):
+    # bounded work on bounded input: the power is refused before it is computed
+    started = time.monotonic()
+    code = main(["norm", fields_file, element])
+    elapsed = time.monotonic() - started
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: power of total degree {degree} exceeds the limit 256")
+    assert "Traceback" not in err
+    assert elapsed < 2.0
+
+
+def test_power_at_the_degree_bound_runs(fields_file, capsys):
+    code = main(["norm", fields_file, "((1+t)^16)^16 (x) (1/u)^256"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[0] == "2^256"
+
+
 @pytest.mark.parametrize("args", [
     ["--max-degree", "100000", "--trials", "2"],
     ["--max-terms", "100000", "--trials", "1"],

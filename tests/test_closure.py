@@ -187,7 +187,7 @@ def test_paths_without_code_maps_agree(monkeypatch, p):
     ref = TowerConfig(p, 4)
     monkeypatch.setattr(closure, "_CODE_MAP_LIMIT", 1)
     bare = TowerConfig(p, 4)
-    assert not bare._emb_codes and not bare._proj_codes
+    assert not bare._emb_codes
 
     def key(c):
         return c.level, c.code
@@ -215,3 +215,109 @@ def test_paths_without_code_maps_agree(monkeypatch, p):
 def test_field_order_beyond_the_limit_is_refused(p, bound):
     with pytest.raises(ValueError, match="exceeds the limit"):
         TowerConfig(p, bound)
+
+
+# ---------------------------------------------------------------------------
+# log/antilog (Zech) tables against the generic kernels
+# ---------------------------------------------------------------------------
+
+def _schoolbook_code(arith, a, b):
+    """a * b as the sum of a_i * (x^i b), each x^i b reduced by the monic
+    modulus as it is shifted."""
+    p, f = arith.p, arith.modulus
+    acc = [0] * arith.n
+    shifted = list(arith.digits(b))
+    for d in arith.digits(a):
+        acc = [(s + d * y) % p for s, y in zip(acc, shifted)]
+        top = shifted[-1]
+        shifted = [(y - top * c) % p for y, c in zip([0] + shifted[:-1], f)]
+    return arith.code(acc)
+
+
+def _code_pairs(q, rng, samples):
+    if q <= 256:
+        return [(a, b) for a in range(q) for b in range(q)]
+    return [(rng.below(q), rng.below(q)) for _ in range(samples)]
+
+
+@pytest.mark.parametrize("p, bound", [(2, 4), (3, 4), (2, 12), (3, 6), (5, 4), (2, 16)])
+def test_log_tables_match_generic_kernels(p, bound):
+    # exhaustive for orders up to 256, sampled above
+    cfg = TowerConfig(p, bound)
+    rng = SplitMix64(100 * p + bound)
+    for n in cfg.levels:
+        arith = cfg._arith[n]
+        q = arith.order
+        assert q <= closure._TABLE_LIMIT and len(arith.log) == q
+        for a, b in _code_pairs(q, rng, 3000):
+            assert arith.mul(a, b) == arith._mul_generic(a, b)
+            assert arith.add(a, b) == arith._add_generic(a, b)
+            assert arith.sub(a, b) == arith._add_generic(a, arith._neg_generic(b))
+        codes = range(q) if q <= 256 else [rng.below(q) for _ in range(3000)]
+        for a in codes:
+            assert arith.neg(a) == arith._neg_generic(a)
+            if a:
+                assert arith.inv(a) == arith._inv_generic(a)
+        with pytest.raises(ZeroDivisionError):
+            arith.inv(0)
+
+
+@pytest.mark.parametrize("p, bound", [(2, 4), (3, 4), (2, 12), (3, 6), (5, 4), (2, 16)])
+def test_log_tables_come_from_the_least_primitive_element(p, bound):
+    cfg = TowerConfig(p, bound)
+    for n in cfg.levels:
+        arith = cfg._arith[n]
+        q = arith.order
+        exp, g = arith.exp, arith.exp[1 % (q - 1)]
+        # g has order q - 1: its powers run through every nonzero code once
+        assert sorted(exp[:q - 1]) == list(range(1, q))
+        assert exp[q - 1:] == exp[:q - 1]
+        assert all(arith.log[exp[k]] == k for k in range(q - 1))
+        assert _schoolbook_code(arith, exp[q - 2], g) == 1
+        if q <= 256:
+            # oracle: every smaller nonzero code has a smaller order
+            for c in range(1, g):
+                acc, order = c, 1
+                while acc != 1:
+                    acc, order = _schoolbook_code(arith, acc, c), order + 1
+                assert order < q - 1
+        if p != 2:
+            for d, z in enumerate(arith.zech):
+                one_plus = arith._add_generic(1, exp[d])
+                assert z == (None if one_plus == 0 else arith.log[one_plus])
+
+
+@pytest.mark.parametrize("p, bound", [(2, 12), (2, 24), (3, 6), (3, 12), (5, 4)])
+def test_generic_kernels_match_schoolbook(p, bound):
+    # the generic kernels serve levels past the table limit; for p=2 they
+    # work on bit-packed polynomials, checked here against digit tuples
+    cfg = TowerConfig(p, bound)
+    rng = SplitMix64(7 * p + bound)
+    for n in cfg.levels:
+        arith = cfg._arith[n]
+        for _ in range(300):
+            a, b = rng.below(arith.order), rng.below(arith.order)
+            assert arith._mul_generic(a, b) == _schoolbook_code(arith, a, b)
+            if a:
+                assert _schoolbook_code(arith, a, arith._inv_generic(a)) == 1
+            if arith.order > closure._TABLE_LIMIT:
+                assert arith.mul(a, b) == arith._mul_generic(a, b)
+
+
+@pytest.mark.parametrize("p, bound", [(2, 12), (3, 6), (5, 4), (2, 24)])
+def test_normalization_finds_the_least_level(p, bound):
+    # oracle: a lies in the subfield of order p^m exactly when a^(p^m) = a
+    cfg = TowerConfig(p, bound)
+    rng = SplitMix64(11 * p + bound)
+    for n in cfg.levels:
+        arith = cfg._arith[n]
+        codes = range(p**n) if p**n <= 4096 else [rng.below(p**n) for _ in range(500)]
+        codes = [*codes, *(cfg._embed_code_raw(rng.below(p**m), m, n)
+                           for m in cfg.levels if n % m == 0 for _ in range(20))]
+        for code in codes:
+            least = min(m for m in cfg.levels
+                        if n % m == 0 and arith.pow(code, p**m) == code)
+            level, down = cfg._normalize(n, code)
+            assert level == least
+            assert cfg._embed_code_raw(down, level, n) == code
+

@@ -13,7 +13,7 @@ import pytest
 
 from tensornorm import (Polynomial, SplitMix64, TowerConfig, exact_div, poly_gcd,
                         poly_lcm)
-from tensornorm import polynomials
+from tensornorm import closure, polynomials
 from tensornorm.polynomials import glex_key
 
 
@@ -215,11 +215,17 @@ def oracle_lcm(monkeypatch, f, g):
     return oracle_exact_div(oracle_mul(fm, gm), oracle_gcd(monkeypatch, fm, gm)).monic()
 
 
-@pytest.mark.parametrize("p,bound", [(2, 4), (3, 4), (5, 4), (2, 12), (3, 6)])
-def test_code_kernels_match_oracles(p, bound, monkeypatch):
-    # (5, 4), (2, 12) and (3, 6) have levels past the multiplication-table
-    # limit, so the generic field kernels run as well as the tables
+@pytest.mark.parametrize("p,bound,table_limit", [
+    (2, 4, None), (3, 4, None), (5, 4, None), (2, 12, None), (3, 6, None),
+    (2, 12, 1), (3, 6, 1)],
+    ids=["2-4", "3-4", "5-4", "2-12", "3-6", "2-12-generic", "3-6-generic"])
+def test_code_kernels_match_oracles(p, bound, table_limit, monkeypatch):
+    # every level of these towers has log/antilog tables; with the table
+    # limit patched to 1, the generic field kernels run instead
+    if table_limit is not None:
+        monkeypatch.setattr(closure, "_TABLE_LIMIT", table_limit)
     cfg = TowerConfig(p, bound)
+    assert all(hasattr(a, "log") == (table_limit is None) for a in cfg._arith.values())
     rng = SplitMix64(1000 * p + bound)
     mixed = 0
     for nvars, count in ((1, 12), (2, 6), (3, 3)):
