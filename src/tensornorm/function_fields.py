@@ -16,7 +16,9 @@ coefficients are unfolded over powers of the common level's generator.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .magnitude import Magnitude
 from .linalg import IncrementalSystem
@@ -55,6 +57,10 @@ class ExtensionDescriptor:
         self.side = side
         self.variables = tuple((n, m) for n, m in variables)
         self.config = config
+        # exponents scaled by their common denominator: the monomial x^e
+        # has value 2^(weight(e) / scale) with an integer weight
+        self.scale = lcm(*(m.exponent.denominator for _, m in variables))
+        self._weights = tuple(int(m.exponent * self.scale) for _, m in variables)
 
     @property
     def nvars(self):
@@ -70,12 +76,13 @@ class ExtensionDescriptor:
                 return i
         raise KeyError(f"unknown variable {name!r} on side {self.side}")
 
-    def monomial_value(self, exps) -> Magnitude:
-        q = 0
-        for e, (_, mag) in zip(exps, self.variables):
-            if e:
-                q = q + e * mag.exponent
-        return Magnitude.pos(q)
+    def weight(self, exps) -> int:
+        """The integer weight of a monomial (see :meth:`magnitude`)."""
+        return sum(map(mul, exps, self._weights))
+
+    def magnitude(self, weight) -> Magnitude:
+        """The value of the monomials of a given weight."""
+        return Magnitude.pos(Fraction(weight, self.scale))
 
     def __repr__(self):
         vs = ", ".join(f"{n}:{m}" for n, m in self.variables)
@@ -86,12 +93,7 @@ def gauss_value(poly: Polynomial, descriptor: ExtensionDescriptor) -> Magnitude:
     """Largest monomial magnitude of a polynomial; zero for the zero poly."""
     if poly.is_zero:
         return Magnitude.zero()
-    best = None
-    for exps in poly.terms:
-        q = descriptor.monomial_value(exps)
-        if best is None or q > best:
-            best = q
-    return best
+    return descriptor.magnitude(max(map(descriptor.weight, poly.terms)))
 
 
 class TowerElem:
@@ -244,29 +246,30 @@ class TowerElem:
 class CoordSystem:
     """Exact coordinates of a list of elements over a common denominator.
 
-    Each element equals (sum of row[j] * atom_j) / denominator, where an
-    atom is a monomial times a power of the coefficient-level generator
-    (that power is always zero when the base is the whole closure) and the
-    row entries lie in the base field.
+    Element i equals numerators[i] / denominator, and numerators[i] is
+    sum of row[j] * atom_j, where an atom is a monomial times a power of
+    the coefficient-level generator (that power is always zero when the
+    base is the whole closure) and the row entries lie in the base field.
     """
 
-    def __init__(self, descriptor, base_level, denominator, basis, coeff_level, matrix):
+    def __init__(self, descriptor, base_level, denominator, numerators, basis,
+                 coeff_level, matrix):
         self.descriptor = descriptor
         self.base_level = base_level
         self.denominator = denominator
+        self.numerators = numerators
         self.basis = basis  # tuple of (exponent tuple, generator power)
         self.coeff_level = coeff_level
         self.matrix = matrix
 
     def atom_grades(self):
-        """{magnitude: atom indices} over the basis (the generator power
-        contributes one), with one value computed per monomial."""
-        values, grades = {}, {}
+        """{weight: atom indices} over the basis; an atom has the value of
+        its monomial (the generator power contributes one), and a weight
+        w stands for the value ``descriptor.magnitude(w)``."""
+        weight = self.descriptor.weight
+        grades = {}
         for j, (exps, _) in enumerate(self.basis):
-            value = values.get(exps)
-            if value is None:
-                value = values[exps] = self.descriptor.monomial_value(exps)
-            grades.setdefault(value, []).append(j)
+            grades.setdefault(weight(exps), []).append(j)
         return grades
 
     def reconstruct(self, row) -> TowerElem:
@@ -288,6 +291,11 @@ def coordinatize(elems, base_level=None) -> CoordSystem:
     ``base_level=None`` takes the whole closure as the base field; a level
     restricts the base to that subfield and unfolds coefficients over
     generator powers of a common coefficient level.
+
+    The common denominator is the lcm of the elements' denominators, which
+    keeps the supports small.  Any common denominator D would do: the
+    atoms over D are orthogonal whatever D is, which is what lets
+    :func:`coordinatize_products` use D_a D_b for products.
     """
     if not elems:
         raise ValueError("need at least one element")
@@ -303,18 +311,54 @@ def coordinatize(elems, base_level=None) -> CoordSystem:
     for d in cofactors:
         den = poly_lcm(den, d)
     for d in cofactors:
-        q = cofactors[d] = exact_div(den, d)
-        if q is None:
-            raise ArithmeticError("common denominator is not a multiple of a denominator")
-    nums = [e.num * cofactors[e.den] for e in elems]
+        cofactors[d] = _cofactor(den, d)
+    return _coord_system(desc, base_level, den,
+                         [e.num * cofactors[e.den] for e in elems])
 
+
+def coordinatize_products(a: CoordSystem, b: CoordSystem) -> CoordSystem:
+    """Coordinates of the products x_i y_j (i outer) of the elements of
+    ``a`` and ``b``, over the denominator D_a D_b.
+
+    The numerator of x_i y_j over D_a D_b is the product of the factors'
+    numerators, so this takes polynomial products only: no gcd, no lcm
+    and no division.
+    """
+    if a.descriptor is not b.descriptor or a.base_level != b.base_level:
+        raise ValueError("coordinates of different extensions or bases")
+    return _coord_system(a.descriptor, a.base_level, a.denominator * b.denominator,
+                         [f * g for f in a.numerators for g in b.numerators])
+
+
+def coordinatize_union(a: CoordSystem, b: CoordSystem) -> CoordSystem:
+    """Coordinates of the elements of ``a`` followed by those of ``b``,
+    over lcm(D_a, D_b): the same system :func:`coordinatize` builds on
+    the concatenated elements, for one gcd."""
+    if a.descriptor is not b.descriptor or a.base_level != b.base_level:
+        raise ValueError("coordinates of different extensions or bases")
+    den = poly_lcm(a.denominator, b.denominator)
+    ca, cb = _cofactor(den, a.denominator), _cofactor(den, b.denominator)
+    return _coord_system(a.descriptor, a.base_level, den,
+                         [f * ca for f in a.numerators] + [g * cb for g in b.numerators])
+
+
+def _cofactor(den, d):
+    q = exact_div(den, d)
+    if q is None:
+        raise ArithmeticError("common denominator is not a multiple of a denominator")
+    return q
+
+
+def _coord_system(desc, base_level, den, nums) -> CoordSystem:
+    """The basis and matrix of numerators ``nums`` over ``den``."""
+    cfg = desc.config
     monos = sorted({exps for f in nums for exps in f.terms}, key=glex_key)
     zero = cfg.zero()
 
     if base_level is None:
         basis = tuple((m, 0) for m in monos)
         matrix = [[f.terms.get(m, zero) for m in monos] for f in nums]
-        return CoordSystem(desc, None, den, basis, 1, matrix)
+        return CoordSystem(desc, None, den, nums, basis, 1, matrix)
 
     cfg._check_level(base_level)
     level = base_level
@@ -334,7 +378,7 @@ def coordinatize(elems, base_level=None) -> CoordSystem:
             else:
                 row.extend(cfg.relative_coords(c, level, base_level))
         matrix.append(row)
-    return CoordSystem(desc, base_level, den, basis, level, matrix)
+    return CoordSystem(desc, base_level, den, nums, basis, level, matrix)
 
 
 def min_coset_value(x: TowerElem, span, base_level=None):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .magnitude import Magnitude
 from .closure import TowerConfig
@@ -68,10 +69,30 @@ def _tokenize(text):
 
 _MAX_NESTING = 100  # parentheses and unary minus signs; bounds the recursion
 MAX_POWER_DEGREE = 256  # largest total degree a power's numerator or denominator may reach
+MAX_RESULT_TERMS = 10_000  # most terms a product or power may be able to reach
 
 
 def _total_degree(poly):
     return max((sum(exps) for exps in poly.terms), default=0)
+
+
+def _check_products(pairs, pos):
+    """Refuse, before any work, polynomial products f * g that could have
+    more than MAX_RESULT_TERMS terms (at most |f| |g|)."""
+    for f, g in pairs:
+        bound = len(f.terms) * len(g.terms)
+        if bound > MAX_RESULT_TERMS:
+            raise ParseError(f"product of up to {bound} terms exceeds the limit "
+                             f"{MAX_RESULT_TERMS}", pos)
+
+
+def _power_terms(poly, e):
+    """Most terms poly^e can have: the monomials of total degree at most
+    e deg(poly), and the multisets of e of poly's terms."""
+    n, size = poly.nvars, len(poly.terms)
+    if e == 0 or size <= 1:
+        return 1
+    return min(comb(n + e * _total_degree(poly), n), comb(size + e - 1, e))
 
 
 class _ExprParser:
@@ -106,10 +127,13 @@ class _ExprParser:
     def expr(self):
         value = self.term()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "+-":
                 self.next()
                 rhs = self.term()
+                # a/b + c/d = (a d + c b) / (b d)
+                _check_products(((value.num, rhs.den), (rhs.num, value.den),
+                                  (value.den, rhs.den)), pos)
                 value = value + rhs if text == "+" else value - rhs
             else:
                 return value
@@ -122,10 +146,12 @@ class _ExprParser:
                 self.next()
                 rhs = self.power()
                 if text == "*":
+                    _check_products(((value.num, rhs.num), (value.den, rhs.den)), pos)
                     value = value * rhs
                 else:
                     if rhs.is_zero:
                         raise ParseError("division by zero", pos)
+                    _check_products(((value.num, rhs.den), (value.den, rhs.num)), pos)
                     value = value / rhs
             else:
                 return value
@@ -151,6 +177,10 @@ class _ExprParser:
             if degree > MAX_POWER_DEGREE:
                 raise ParseError(f"power of total degree {degree} exceeds the limit "
                                  f"{MAX_POWER_DEGREE}", pos)
+            bound = max(_power_terms(value.num, abs(e)), _power_terms(value.den, abs(e)))
+            if bound > MAX_RESULT_TERMS:
+                raise ParseError(f"power of up to {bound} terms exceeds the limit "
+                                 f"{MAX_RESULT_TERMS}", pos)
             value = value**e
         return value
 

@@ -33,6 +33,17 @@ factor-value product.  It is read from the coefficient matrix:
   Functional Analysis*, 1978; C. Perez-Garcia and W. H. Schikhof,
   *Locally Convex Spaces over Non-Archimedean Valued Fields*, 2010).
 
+Nothing here depends on which common denominator is used: over any
+common multiple D of the denominators the atoms m_a / D are orthogonal,
+so the formula holds for every choice.  An element given by its terms is
+coordinatized over the lcm of its factors' denominators.  A product z w
+takes D_z D_w instead: its left factors are x_i x'_j = n_i n'_j / (D_z D_w)
+for the factors' numerators n_i over D_z and n'_j over D_w, so its matrix
+comes from the factors' matrices by polynomial products alone, with no
+gcd, and its canonical terms are only formed when something reads them.
+Each element keeps its matrix once computed, and a sum of two elements
+that hold one is coordinatized over lcm(D_z, D_w) for one gcd.
+
 :func:`tensor_norm` evaluates this formula, visiting value pairs from
 the largest product down and computing only the entries it needs;
 :func:`is_zero` tests M for zero.  The reduction pipeline stays as the
@@ -52,7 +63,8 @@ from heapq import heappop, heappush
 
 from .magnitude import Magnitude, scaled_compare
 from .linalg import first_dependency
-from .function_fields import TowerElem, coordinatize, gauss_value, min_coset_value
+from .function_fields import (TowerElem, coordinatize, coordinatize_products,
+                              coordinatize_union, min_coset_value)
 
 
 class InstanceInvalidError(ValueError):
@@ -64,9 +76,15 @@ class TensorElem:
 
     Terms with a zero factor are stripped on construction; the empty list
     represents zero.  Immutable.
+
+    A product ``z * w`` does not build its terms: it keeps its factors and
+    its coefficient matrix, built from theirs with polynomial products
+    only (:func:`coefficient_matrix`), and its canonical terms are formed
+    from the factors' terms the first time ``terms`` is read.
     """
 
-    __slots__ = ("left_descriptor", "right_descriptor", "base_level", "terms")
+    __slots__ = ("left_descriptor", "right_descriptor", "base_level", "term_count",
+                 "_terms", "_factors", "_matrix")
 
     def __init__(self, left_descriptor, right_descriptor, terms, base_level=None):
         config = left_descriptor.config
@@ -88,7 +106,21 @@ class TensorElem:
         self.left_descriptor = left_descriptor
         self.right_descriptor = right_descriptor
         self.base_level = base_level
-        self.terms = tuple(kept)
+        self.term_count = len(kept)
+        self._terms = tuple(kept)
+        self._factors = None
+        self._matrix = None
+
+    @property
+    def terms(self):
+        """The (left factor, right factor) pairs; a product's are
+        x_i x'_j, y_i y'_j for the factors' pairs, with i the outer index."""
+        if self._terms is None:
+            z, w = self._factors
+            self._terms = tuple((x1 * x2, y1 * y2)
+                                for x1, y1 in z.terms for x2, y2 in w.terms)
+            self._factors = None
+        return self._terms
 
     # -- constructors ---------------------------------------------------------
 
@@ -114,7 +146,12 @@ class TensorElem:
 
     def __add__(self, other):
         self._check_compatible(other)
-        return self.replace_terms(self.terms + other.terms)
+        out = self.replace_terms(self.terms + other.terms)
+        a, b = self._matrix, other._matrix
+        if a is not None and b is not None:
+            out._matrix = CoefficientMatrix(coordinatize_union(a.left, b.left),
+                                            coordinatize_union(a.right, b.right))
+        return out
 
     def __neg__(self):
         return self.replace_terms([(-x, y) for x, y in self.terms])
@@ -124,11 +161,19 @@ class TensorElem:
 
     def __mul__(self, other):
         self._check_compatible(other)
-        out = []
-        for x1, y1 in self.terms:
-            for x2, y2 in other.terms:
-                out.append((x1 * x2, y1 * y2))
-        return self.replace_terms(out)
+        if not (self.term_count and other.term_count):
+            return self.replace_terms(())
+        a, b = coefficient_matrix(self), coefficient_matrix(other)
+        out = TensorElem.__new__(TensorElem)
+        out.left_descriptor = self.left_descriptor
+        out.right_descriptor = self.right_descriptor
+        out.base_level = self.base_level
+        out.term_count = self.term_count * other.term_count
+        out._terms = None
+        out._factors = (self, other)
+        out._matrix = CoefficientMatrix(coordinatize_products(a.left, b.left),
+                                        coordinatize_products(a.right, b.right))
+        return out
 
     def transpose(self):
         """The same data viewed in the opposite tensor product."""
@@ -296,18 +341,23 @@ class CoefficientMatrix:
 
 
 def coefficient_matrix(z: TensorElem) -> CoefficientMatrix:
-    """Coordinatize each side of a nonempty representation once."""
-    base = z.base_level
-    return CoefficientMatrix(coordinatize([x for x, _ in z.terms], base_level=base),
-                             coordinatize([y for _, y in z.terms], base_level=base))
+    """The coefficient matrix of a nonempty representation, computed once
+    per element: each side of its terms coordinatized over the lcm of
+    its denominators, unless an operation already built it."""
+    if z._matrix is None:
+        base = z.base_level
+        terms = z.terms
+        z._matrix = CoefficientMatrix(coordinatize([x for x, _ in terms], base_level=base),
+                                      coordinatize([y for _, y in terms], base_level=base))
+    return z._matrix
 
 
 def _grades(cs):
-    """(exponent, atom indices) for each distinct atom value, largest first;
-    the exponents are taken relative to the common denominator."""
-    shift = gauss_value(cs.denominator, cs.descriptor).exponent
-    return sorted(((value.exponent - shift, atoms)
-                   for value, atoms in cs.atom_grades().items()), reverse=True)
+    """(weight, atom indices) for each distinct atom weight, largest first;
+    the weights are taken relative to the common denominator's."""
+    shift = max(map(cs.descriptor.weight, cs.denominator.terms))
+    return sorted(((w - shift, atoms) for w, atoms in cs.atom_grades().items()),
+                  reverse=True)
 
 
 def tensor_norm(z: TensorElem) -> Magnitude:
@@ -320,27 +370,30 @@ def tensor_norm(z: TensorElem) -> Magnitude:
     entries of its block (the atom pairs of those two values) are
     computed, and the walk stops at the first nonzero entry.
     """
-    if not z.terms:
+    if not z.term_count:
         return Magnitude.zero()
     m = coefficient_matrix(z)
     left, right = _grades(m.left), _grades(m.right)
-    heap = [(-(left[0][0] + right[0][0]), 0, 0)]
+    # |e_a| |f_b| = 2^(key / (sl sr)) for integer weights relative to the
+    # denominators (see ExtensionDescriptor.weight)
+    sl, sr = m.left.descriptor.scale, m.right.descriptor.scale
+    heap = [(-(left[0][0] * sr + right[0][0] * sl), 0, 0)]
     while heap:
         key, i, j = heappop(heap)
         if any(not m.entry_is_zero(a, b) for a in left[i][1] for b in right[j][1]):
-            return Magnitude.pos(-key)
+            return Magnitude.pos(Fraction(-key, sl * sr))
         # each (i, j) is pushed once: by (i, j - 1), or by (i - 1, 0) when j = 0
         if j + 1 < len(right):
-            heappush(heap, (-(left[i][0] + right[j + 1][0]), i, j + 1))
+            heappush(heap, (-(left[i][0] * sr + right[j + 1][0] * sl), i, j + 1))
         if j == 0 and i + 1 < len(left):
-            heappush(heap, (-(left[i + 1][0] + right[0][0]), i + 1, 0))
+            heappush(heap, (-(left[i + 1][0] * sr + right[0][0] * sl), i + 1, 0))
     return Magnitude.zero()
 
 
 def is_zero(z: TensorElem) -> bool:
     """Zero test: the element vanishes exactly when its coefficient
     matrix does."""
-    if not z.terms:
+    if not z.term_count:
         return True
     m = coefficient_matrix(z)
     return all(m.entry_is_zero(a, b)

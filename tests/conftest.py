@@ -3,7 +3,7 @@
 The oracles here deliberately avoid the library's reduction pipeline:
 exhaustive enumeration for least coset values and linear solving,
 schoolbook factor search for irreducibility, direct expansion for value
-products, and full Gauss-Jordan elimination (``solve_linear``) for the
+products and for tensor products, and full Gauss-Jordan elimination (``solve_linear``) for the
 library's incremental systems.  Derived expectations in the tests are
 computed through these.
 """
@@ -166,6 +166,18 @@ def solve_linear(matrix, rhs, config):
             vec[pc] = -rows[k][c]
         nullspace.append(vec)
     return LinearSolution(solution=solution, nullspace=nullspace)
+
+
+def oracle_product(z, w):
+    """The product of two tensors by eager expansion: every pair of terms
+    multiplied and canonicalized, with z's index outer."""
+    return z.replace_terms([(x1 * x2, y1 * y2) for x1, y1 in z.terms for x2, y2 in w.terms])
+
+
+def oracle_sum(z, w):
+    """The sum of two tensors as a fresh representation of the
+    concatenated terms, holding no coordinates."""
+    return z.replace_terms(z.terms + w.terms)
 
 
 def poly_is_irreducible_brute(coeffs, p):

@@ -175,6 +175,55 @@ def test_power_at_the_degree_bound_runs(fields_file, capsys):
     assert out.splitlines()[0] == "2^256"
 
 
+WIDE_FIELDS = ("p 3\nlevels 4\nbase closure\nK " + " ".join(f"a{i}:-1" for i in range(8))
+               + "\nL u:-1\n")
+WIDE_SUM = "(1+a0+a1+a2+a3+a4+a5+a6+a7)"
+
+
+def _u_sum(count):
+    return "(" + "+".join(f"u^{i}" for i in range(count)) + ")"
+
+
+@pytest.fixture()
+def wide_fields_file(tmp_path):
+    path = tmp_path / "wide.cfg"
+    path.write_text(WIDE_FIELDS)
+    return str(path)
+
+
+@pytest.mark.parametrize("element, message", [
+    (f"{WIDE_SUM}^26 (x) u", "power of up to 18156204 terms"),
+    (f"{WIDE_SUM}^8 (x) u", "power of up to 12870 terms"),
+    (f"1 (x) {_u_sum(100)} * {_u_sum(101)}", "product of up to 10100 terms"),
+    (f"1 (x) u / {_u_sum(100)} / {_u_sum(101)}", "product of up to 10100 terms"),
+    (f"1 (x) (1 / {_u_sum(100)} + 1 / {_u_sum(101)})", "product of up to 10100 terms"),
+    ("*".join(f"(1+a{i}+a{i}^2+a{i}^3)" for i in range(8)) + " (x) u",
+     "product of up to 16384 terms"),
+], ids=["power", "power-just-past", "product", "quotient", "sum-of-fractions",
+        "chained-product"])
+def test_results_past_the_term_bound_are_parse_errors(element, message, wide_fields_file,
+                                                      capsys):
+    # bounded work on bounded input: refused before it is computed
+    started = time.monotonic()
+    code = main(["norm", wide_fields_file, element])
+    elapsed = time.monotonic() - started
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {message} exceeds the limit 10000")
+    assert "Traceback" not in err
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("element", [
+    f"{WIDE_SUM}^7 (x) 1", f"1 (x) {_u_sum(100)} * {_u_sum(100)}",
+], ids=["power", "product"])
+def test_results_at_the_term_bound_run(element, wide_fields_file, capsys):
+    code = main(["norm", wide_fields_file, element])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[0] == "2^0"
+
+
 @pytest.mark.parametrize("args", [
     ["--max-degree", "100000", "--trials", "2"],
     ["--max-terms", "100000", "--trials", "1"],

@@ -13,7 +13,8 @@ from tensornorm import (InstanceInvalidError, Magnitude, SplitMix64, TensorElem,
 from tensornorm.generators import gen_tensor_elem, random_rewrite
 from tensornorm.parsing import parse_tower_elem
 
-from conftest import brute_min_coset, enumerate_level, scenario
+from conftest import (brute_min_coset, enumerate_level, oracle_product, oracle_sum,
+                      scenario)
 
 
 def _z(setup, text):
@@ -189,12 +190,14 @@ def test_norm_symmetry(setup2, setup2_base1):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("base, right_exponent", [("closure", "-1"), ("1", "-1/2"), ("2", "1/3")],
-                         ids=["closure", "level1", "level2"])
-def test_matrix_norm_equals_sweep_norm(p, base, right_exponent):
+@pytest.mark.parametrize("base, k_vars, l_vars", [
+    ("closure", "t:-1", "u:-1"), ("1", "t:-1", "u:-1/2"), ("2", "t:-1", "u:1/3"),
+    ("closure", "t:-1 s:-1/2", "u:-1 v:1/3"),
+], ids=["closure", "level1", "level2", "closure-2vars"])
+def test_matrix_norm_equals_sweep_norm(p, base, k_vars, l_vars):
     # the coefficient-matrix norm against the independent sweep certificate,
-    # on 504 elements per base: random, products, sums, rewrites, zeros
-    setup = parse_field_setup(f"p {p}\nlevels 4\nbase {base}\nK t:-1\nL u:{right_exponent}\n")
+    # on 504 elements per setup: random, products, sums, rewrites, zeros
+    setup = parse_field_setup(f"p {p}\nlevels 4\nbase {base}\nK {k_vars}\nL {l_vars}\n")
     rng = SplitMix64(98 + p)
     sc = scenario(p=p, max_terms=2, max_degree=3)
     for _ in range(84):
@@ -203,6 +206,34 @@ def test_matrix_norm_equals_sweep_norm(p, base, right_exponent):
         r = random_rewrite(z, setup, sc, rng)
         for e in (z, z * w, z + w, r, z - r, z - z):
             assert tensor_norm(e) == orthogonalize_left(e).norm, e
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("base, k_vars, l_vars", [
+    ("closure", "t:-1", "u:-1"), ("1", "t:-1 s:-1/2", "u:-1/2"), ("2", "t:-1", "u:1/3 v:-1"),
+    ("closure", "t:-1 s:-1/2 r:1/3", "u:-1 v:-2 w:1/2"),
+], ids=["closure-1var", "level1-2vars", "level2-2vars", "closure-3vars"])
+def test_product_coordinates_match_canonical_product(p, base, k_vars, l_vars):
+    # products built from the factors' coordinates over D_z D_w, and sums
+    # over lcm(D_z, D_w), against the eagerly expanded representations
+    setup = parse_field_setup(f"p {p}\nlevels 4\nbase {base}\nK {k_vars}\nL {l_vars}\n")
+    rng = SplitMix64(200 + p)
+    sc = scenario(p=p, max_terms=2, max_degree=2)
+    for _ in range(12):
+        z = gen_tensor_elem(setup, sc, rng)
+        w = gen_tensor_elem(setup, sc, rng)
+        tensor_norm(z), tensor_norm(w)  # the factors hold their matrices
+        product, expected = z * w, oracle_product(z, w)
+        assert tensor_norm(product) == tensor_norm(expected)
+        assert is_zero(product) == is_zero(expected)
+        assert product._terms is None  # the norm and the zero test built no terms
+        assert tensor_norm(z + w) == tensor_norm(oracle_sum(z, w))
+        assert tensor_norm(product + w) == tensor_norm(oracle_sum(expected, w))
+        # a product of a product: coordinates over D_z D_w D_z
+        assert tensor_norm(product * z) == tensor_norm(oracle_product(expected, z))
+        vanishing = z * (w - w)
+        assert is_zero(vanishing) and tensor_norm(vanishing).is_zero
+        assert product.terms == expected.terms
 
 
 # -- is_zero ------------------------------------------------------------------------
