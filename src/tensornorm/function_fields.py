@@ -16,9 +16,7 @@ coefficients are unfolded over powers of the common level's generator.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
-from operator import mul
 
 from .magnitude import Magnitude
 from .linalg import IncrementalSystem
@@ -57,10 +55,6 @@ class ExtensionDescriptor:
         self.side = side
         self.variables = tuple((n, m) for n, m in variables)
         self.config = config
-        # exponents scaled by their common denominator: the monomial x^e
-        # has value 2^(weight(e) / scale) with an integer weight
-        self.scale = lcm(*(m.exponent.denominator for _, m in variables))
-        self._weights = tuple(int(m.exponent * self.scale) for _, m in variables)
 
     @property
     def nvars(self):
@@ -76,13 +70,12 @@ class ExtensionDescriptor:
                 return i
         raise KeyError(f"unknown variable {name!r} on side {self.side}")
 
-    def weight(self, exps) -> int:
-        """The integer weight of a monomial (see :meth:`magnitude`)."""
-        return sum(map(mul, exps, self._weights))
-
-    def magnitude(self, weight) -> Magnitude:
-        """The value of the monomials of a given weight."""
-        return Magnitude.pos(Fraction(weight, self.scale))
+    def monomial_value(self, exps) -> Magnitude:
+        q = 0
+        for e, (_, mag) in zip(exps, self.variables):
+            if e:
+                q = q + e * mag.exponent
+        return Magnitude.pos(q)
 
     def __repr__(self):
         vs = ", ".join(f"{n}:{m}" for n, m in self.variables)
@@ -93,7 +86,12 @@ def gauss_value(poly: Polynomial, descriptor: ExtensionDescriptor) -> Magnitude:
     """Largest monomial magnitude of a polynomial; zero for the zero poly."""
     if poly.is_zero:
         return Magnitude.zero()
-    return descriptor.magnitude(max(map(descriptor.weight, poly.terms)))
+    best = None
+    for exps in poly.terms:
+        q = descriptor.monomial_value(exps)
+        if best is None or q > best:
+            best = q
+    return best
 
 
 class TowerElem:
@@ -263,13 +261,14 @@ class CoordSystem:
         self.matrix = matrix
 
     def atom_grades(self):
-        """{weight: atom indices} over the basis; an atom has the value of
-        its monomial (the generator power contributes one), and a weight
-        w stands for the value ``descriptor.magnitude(w)``."""
-        weight = self.descriptor.weight
-        grades = {}
+        """{magnitude: atom indices} over the basis (the generator power
+        contributes one), with one value computed per monomial."""
+        values, grades = {}, {}
         for j, (exps, _) in enumerate(self.basis):
-            grades.setdefault(weight(exps), []).append(j)
+            value = values.get(exps)
+            if value is None:
+                value = values[exps] = self.descriptor.monomial_value(exps)
+            grades.setdefault(value, []).append(j)
         return grades
 
     def reconstruct(self, row) -> TowerElem:

@@ -64,7 +64,7 @@ from heapq import heappop, heappush
 from .magnitude import Magnitude, scaled_compare
 from .linalg import first_dependency
 from .function_fields import (TowerElem, coordinatize, coordinatize_products,
-                              coordinatize_union, min_coset_value)
+                              coordinatize_union, gauss_value, min_coset_value)
 
 
 class InstanceInvalidError(ValueError):
@@ -353,11 +353,11 @@ def coefficient_matrix(z: TensorElem) -> CoefficientMatrix:
 
 
 def _grades(cs):
-    """(weight, atom indices) for each distinct atom weight, largest first;
-    the weights are taken relative to the common denominator's."""
-    shift = max(map(cs.descriptor.weight, cs.denominator.terms))
-    return sorted(((w - shift, atoms) for w, atoms in cs.atom_grades().items()),
-                  reverse=True)
+    """(exponent, atom indices) for each distinct atom value, largest first;
+    the exponents are taken relative to the common denominator."""
+    shift = gauss_value(cs.denominator, cs.descriptor).exponent
+    return sorted(((value.exponent - shift, atoms)
+                   for value, atoms in cs.atom_grades().items()), reverse=True)
 
 
 def tensor_norm(z: TensorElem) -> Magnitude:
@@ -374,19 +374,16 @@ def tensor_norm(z: TensorElem) -> Magnitude:
         return Magnitude.zero()
     m = coefficient_matrix(z)
     left, right = _grades(m.left), _grades(m.right)
-    # |e_a| |f_b| = 2^(key / (sl sr)) for integer weights relative to the
-    # denominators (see ExtensionDescriptor.weight)
-    sl, sr = m.left.descriptor.scale, m.right.descriptor.scale
-    heap = [(-(left[0][0] * sr + right[0][0] * sl), 0, 0)]
+    heap = [(-(left[0][0] + right[0][0]), 0, 0)]
     while heap:
         key, i, j = heappop(heap)
         if any(not m.entry_is_zero(a, b) for a in left[i][1] for b in right[j][1]):
-            return Magnitude.pos(Fraction(-key, sl * sr))
+            return Magnitude.pos(-key)
         # each (i, j) is pushed once: by (i, j - 1), or by (i - 1, 0) when j = 0
         if j + 1 < len(right):
-            heappush(heap, (-(left[i][0] * sr + right[j + 1][0] * sl), i, j + 1))
+            heappush(heap, (-(left[i][0] + right[j + 1][0]), i, j + 1))
         if j == 0 and i + 1 < len(left):
-            heappush(heap, (-(left[i + 1][0] * sr + right[0][0] * sl), i + 1, 0))
+            heappush(heap, (-(left[i + 1][0] + right[0][0]), i + 1, 0))
     return Magnitude.zero()
 
 
