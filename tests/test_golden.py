@@ -3,8 +3,8 @@
 Each digest is a sha256 over text the library prints, so any change to a
 computed norm or to a report shows up here, whatever path computed it.
 To re-record after an intended change of output, run this file as a
-script from the repository root (``python tests/test_golden.py``) and
-paste what it prints.
+script from the repository root (``PYTHONPATH=src python
+tests/test_golden.py``) and paste what it prints.
 """
 
 import contextlib
