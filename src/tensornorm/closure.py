@@ -258,6 +258,8 @@ class _LevelArith:
             self.add, self.neg = xor, pos  # -a = a in characteristic 2
         else:
             self.add, self.neg = self._add_generic, self._neg_generic
+            if n > 1:
+                self._use_slots()
         self.mul, self.inv = self._mul_generic, self._inv_generic
         if self.order <= _TABLE_LIMIT:
             self._use_log_tables()
@@ -344,9 +346,54 @@ class _LevelArith:
                               for x, y, w in zip(lo_t[lo], hi_t[hi], weights)])
         return out
 
+    def _use_slots(self):
+        """Kronecker substitution for odd-p ``_mul_generic``: digit i of a
+        code goes to bits [w i, w i + w) of one int, so one int product
+        multiplies two polynomials.  A product slot holds at most
+        n (p-1)^2; folding slots n .. 2n-2 back in, each reduced mod p
+        times the packed x^k mod f, keeps every slot below 2n (p-1)^2 < 2^w.
+        Codes are packed a chunk of h digits at a time, p^h <= max(p, 256),
+        from one table per chunk.  ``_add_generic`` adds packed codes."""
+        p, n = self.p, self.n
+        w = self._slot_bits = (2 * n * (p - 1) ** 2).bit_length()
+        self._slot_mask = (1 << w) - 1
+
+        def packed(digits):
+            out = 0
+            for d in reversed(digits):
+                out = out << w | d
+            return out
+
+        self._x_powers = [packed(_pmod((0,) * k + (1,), self.modulus, p))
+                          for k in range(n, 2 * n - 1)]
+        h = 1
+        while h < n and p ** (h + 1) <= 256:
+            h += 1
+        self._chunk_order = p**h
+        chunk = [packed(_code_digits(c, p, h)) for c in range(p**h)]
+        self._pack_tables = [[v << (w * i) for v in chunk] for i in range(0, n, h)]
+
+    def _pack(self, code):
+        out = 0
+        for table in self._pack_tables:
+            code, c = divmod(code, self._chunk_order)
+            out |= table[c]
+        return out
+
+    def _unpack(self, r):
+        """The code whose digits are r's slots, each reduced mod p."""
+        p, w, mask = self.p, self._slot_bits, self._slot_mask
+        code = 0
+        for shift in range(w * (self.n - 1), -1, -w):
+            code = code * p + (r >> shift & mask) % p
+        return code
+
     def _add_generic(self, a, b):
-        da, db = self.digits(a), self.digits(b)
-        return self.code(tuple((x + y) % self.p for x, y in zip(da, db)))
+        if self.p == 2:
+            return a ^ b
+        if self.n == 1:
+            return (a + b) % self.p
+        return self._unpack(self._pack(a) + self._pack(b))
 
     def _neg_generic(self, a):
         return self.code(tuple((-x) % self.p for x in self.digits(a)))
@@ -370,13 +417,20 @@ class _LevelArith:
             while r.bit_length() > n:
                 r ^= f << (r.bit_length() - 1 - n)
             return r
-        db = self.digits(b)
-        prod = [0] * (2 * n - 1)
-        for i, x in enumerate(self.digits(a)):
-            if x:
-                for j, y in enumerate(db, i):
-                    prod[j] += x * y
-        return self.code([c % p for c in _pmod(prod, self.modulus, p)])
+        if n == 1:
+            return a * b % p
+        w, mask = self._slot_bits, self._slot_mask
+        prod = self._pack(a) * self._pack(b)
+        high = prod >> (w * n)
+        r = prod ^ (high << (w * n))
+        for x in self._x_powers:
+            if not high:
+                break
+            c = (high & mask) % p
+            if c:
+                r += c * x
+            high >>= w
+        return self._unpack(r)
 
     def _inv_generic(self, a):
         # extended Euclid in GF(p)[x] against the level modulus
@@ -494,12 +548,11 @@ class TowerConfig:
                     _digits_code(_apply_cols(_code_digits(code, p, m), cols, n, p), p)
                     for code in range(p**m)]
 
-        # subfield decomposition matrices for every pair d | l of levels
-        self._rel_solvers = {}
-        for d in self.levels:
-            for l in self.levels:
-                if l % d == 0:
-                    self._rel_solvers[(d, l)] = self._build_rel_solver(d, l)
+        # subfield decomposition matrices for every pair 1 < d < l, d | l;
+        # over GF(p) and over the level itself the matrix is the identity
+        self._rel_solvers = {(d, l): self._build_rel_solver(d, l)
+                             for d in self.levels for l in self.levels
+                             if 1 < d < l and l % d == 0}
 
         # least common level of every pair; and per level, (least level, code
         # there) of each element of a proper subfield: the subfields' images
@@ -643,12 +696,25 @@ class TowerConfig:
     def relative_coords(self, elem: "ClosureElem", level: int, base_level: int):
         """Coefficients of elem over GF(p^base_level), with respect to the
         power basis of the level generator; returns level//base_level
-        coefficients, each a ClosureElem contained in the base field."""
+        coefficients, each a ClosureElem contained in the base field.
+
+        Two bases need no linear algebra.  Over GF(p) (base level 1) the
+        basis is 1, x, ..., x^(level-1) for the generator x mod f_level,
+        the basis codes are written in, so the coefficients are the digits
+        of elem's code at ``level``.  Over the level itself the basis is
+        (1,) and the one coefficient is elem.  Any other base solves one
+        GF(p) system.
+        """
         self._check_level(level)
         self._check_level(base_level)
         if level % base_level or level % elem.level:
             raise LatticeError("incompatible levels for relative coordinates")
-        digits = self.embed_coords(elem, level)
+        if base_level == level:
+            return (elem,)
+        digits = _code_digits(self._embed_code_raw(elem.code, elem.level, level),
+                              self.p, level)
+        if base_level == 1:
+            return tuple(ClosureElem(self, 1, c) for c in digits)
         sol = self._rel_solvers[(base_level, level)].solve(list(digits))
         if sol is None:
             raise RuntimeError("relative coordinates have no solution")

@@ -16,8 +16,6 @@ coefficients are unfolded over powers of the common level's generator.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .magnitude import Magnitude
 from .linalg import IncrementalSystem
 from .polynomials import Polynomial, exact_div, glex_key, poly_gcd, poly_lcm
@@ -262,13 +260,14 @@ class CoordSystem:
 
     def atom_grades(self):
         """{magnitude: atom indices} over the basis (the generator power
-        contributes one), with one value computed per monomial."""
-        values, grades = {}, {}
-        for j, (exps, _) in enumerate(self.basis):
-            value = values.get(exps)
-            if value is None:
-                value = values[exps] = self.descriptor.monomial_value(exps)
-            grades.setdefault(value, []).append(j)
+        contributes one).  Each monomial owns a run of coeff_level //
+        base_level consecutive atoms (one over the closure), so its value
+        is computed and hashed once for the whole run."""
+        span = 1 if self.base_level is None else self.coeff_level // self.base_level
+        value = self.descriptor.monomial_value
+        basis, grades = self.basis, {}
+        for j in range(0, len(basis), span):
+            grades.setdefault(value(basis[j][0]), []).extend(range(j, j + span))
         return grades
 
     def reconstruct(self, row) -> TowerElem:
@@ -360,22 +359,28 @@ def _coord_system(desc, base_level, den, nums) -> CoordSystem:
         return CoordSystem(desc, None, den, nums, basis, 1, matrix)
 
     cfg._check_level(base_level)
+    lcm_levels = cfg._lcm_levels
     level = base_level
     for f in nums:
         for c in f.terms.values():
-            level = lcm(level, c.level)
-    cfg._check_level(level)
+            level = lcm_levels[(level, c.level)]
     span = level // base_level
     basis = tuple((m, j) for m in monos for j in range(span))
+    absent = (zero,) * span
+    rel = {}  # coordinates of each distinct coefficient, for this call only
     matrix = []
     for f in nums:
         row = []
+        terms = f.terms
         for m in monos:
-            c = f.terms.get(m)
+            c = terms.get(m)
             if c is None:
-                row.extend([zero] * span)
-            else:
-                row.extend(cfg.relative_coords(c, level, base_level))
+                row.extend(absent)
+                continue
+            coords = rel.get(c)
+            if coords is None:
+                coords = rel[c] = cfg.relative_coords(c, level, base_level)
+            row.extend(coords)
         matrix.append(row)
     return CoordSystem(desc, base_level, den, nums, basis, level, matrix)
 

@@ -211,6 +211,26 @@ def test_paths_without_code_maps_agree(monkeypatch, p):
             assert key(b1 * b2) == key(a1 * a2)
 
 
+@pytest.mark.parametrize("p, bound", [(2, 4), (3, 4), (5, 4), (3, 6), (7, 2), (2, 12), (2, 16)])
+def test_relative_coords_without_a_solve_match_the_solver(p, bound):
+    # over GF(p) and over the level itself the coordinates are read off,
+    # not solved for; oracle: the solver those bases would otherwise use
+    cfg = TowerConfig(p, bound)
+    rng = SplitMix64(13 * p + bound)
+    for n in cfg.levels:
+        q = p**n
+        codes = range(q) if q <= 3000 else [rng.below(q) for _ in range(3000)]
+        for d in {1, n}:
+            assert (d, n) not in cfg._rel_solvers
+            solver = cfg._build_rel_solver(d, n)
+            for code in codes:
+                e = cfg.from_code(n, code)
+                sol = solver.solve(list(cfg.embed_coords(e, n)))
+                want = [cfg.from_code(d, closure._digits_code(sol[j * d:(j + 1) * d], p))
+                        for j in range(n // d)]
+                assert list(cfg.relative_coords(e, n, d)) == want
+
+
 @pytest.mark.parametrize("p, bound", [(2, 25), (3, 16), (5, 12), (1000000007, 2), (2, 10**9)])
 def test_field_order_beyond_the_limit_is_refused(p, bound):
     with pytest.raises(ValueError, match="exceeds the limit"):
@@ -287,10 +307,12 @@ def test_log_tables_come_from_the_least_primitive_element(p, bound):
                 assert z == (None if one_plus == 0 else arith.log[one_plus])
 
 
-@pytest.mark.parametrize("p, bound", [(2, 12), (2, 24), (3, 6), (3, 12), (5, 4)])
+@pytest.mark.parametrize("p, bound", [(2, 12), (2, 24), (3, 6), (3, 12), (3, 15), (5, 4),
+                                      (257, 2)])
 def test_generic_kernels_match_schoolbook(p, bound):
     # the generic kernels serve levels past the table limit; for p=2 they
-    # work on bit-packed polynomials, checked here against digit tuples
+    # work on bit-packed polynomials, for odd p on digits packed into
+    # slots of one int, checked here against digit tuples
     cfg = TowerConfig(p, bound)
     rng = SplitMix64(7 * p + bound)
     for n in cfg.levels:
@@ -298,6 +320,8 @@ def test_generic_kernels_match_schoolbook(p, bound):
         for _ in range(300):
             a, b = rng.below(arith.order), rng.below(arith.order)
             assert arith._mul_generic(a, b) == _schoolbook_code(arith, a, b)
+            assert arith._add_generic(a, b) == arith.code(
+                [(x + y) % p for x, y in zip(arith.digits(a), arith.digits(b))])
             if a:
                 assert _schoolbook_code(arith, a, arith._inv_generic(a)) == 1
             if arith.order > closure._TABLE_LIMIT:

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from tensornorm import (Magnitude, Polynomial, SplitMix64,
-                        coordinatize, gauss_value, min_coset_value)
+from tensornorm import (Magnitude, Polynomial, SplitMix64, closure,
+                        coordinatize, gauss_value, min_coset_value,
+                        parse_field_setup)
 from tensornorm.function_fields import ExtensionDescriptor, TowerElem
 from tensornorm.generators import gen_tower_elem
 from tensornorm.parsing import parse_tower_elem
@@ -122,6 +123,27 @@ def test_coordinatize_round_trip(kside, setup2_base1):
                 for row in cs.matrix:
                     for entry in row:
                         assert base % entry.level == 0  # entries lie in the base
+
+
+def test_coordinates_over_gf_p_solve_no_system(monkeypatch):
+    # over GF(p) a coefficient's coordinates are the digits of its code
+    setup = parse_field_setup("p 3\nlevels 4\nbase 1\nK t:-1 s:1/2\nL u:-1\n")
+    desc = setup.left
+    rng = SplitMix64(80)
+    sc = scenario(p=3)
+
+    def refuse(self, rhs):
+        raise AssertionError("a linear system was solved")
+
+    monkeypatch.setattr(closure._ModPSolver, "solve", refuse)
+    levels = set()
+    for _ in range(20):
+        xs = [gen_tower_elem(desc, sc, rng) for _ in range(3)]
+        cs = coordinatize(xs, base_level=1)
+        levels.add(cs.coeff_level)
+        for x, row in zip(xs, cs.matrix):
+            assert cs.reconstruct(row) == x
+    assert 4 in levels
 
 
 def test_min_coset_examples(kside):
