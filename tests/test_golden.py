@@ -24,7 +24,8 @@ FIELDS = str(Path(__file__).resolve().parents[1] / "demos" / "fields.cfg")
 
 # (p, base, K variables, L variables) -> sha256 of the norms of z, w, z*w,
 # z+w and z-z over 20 generated pairs, one norm per line; base 2 unfolds
-# level-4 coefficients over the level-2 subfield, base 1 over GF(p)
+# level-4 coefficients over the level-2 subfield, base 1 over GF(p); the
+# last two sides have coprime exponent denominators (5 against 14)
 NORM_DIGESTS = {
     (2, "closure", "t:-1", "u:-1"): "8c92c8e9ca894ac9c22bcf9942d308ab2bdb8ab1a52b988a66c26f290e25d57e",
     (2, "closure", "t:-1 s:-1/2", "u:-1 v:1/3"): "26fd6e4282703c5aa45e9c7917bab3fed7eaaf2f0b987be16c83eebd2c8dcb8d",
@@ -36,6 +37,8 @@ NORM_DIGESTS = {
     (3, "1", "t:-1 s:-1/3", "u:1/2 v:-1"): "d7b6303f6760ce5070d74d2694e4b19f34368d65ad1b1473cea40ed7ff5d6557",
     (2, "2", "t:-1 s:1/2", "u:-1"): "540b94c5f4337c99e931c4f9099012f6d06bba184a1bcd0c57f39e72e938cba7",
     (3, "2", "t:-1/2", "u:-1 v:1/3"): "940ee426a0712b64638e1aab4a4529e12e3b7eb96f0f88841123b7d488d7806e",
+    (2, "closure", "t:2/5", "u:-3/7 v:1/2"): "1944a8924f30b710f1f5ff6710b558afc6f68f2e5cc3adbd594fef0177582c15",
+    (3, "1", "t:2/5", "u:-3/7 v:1/2"): "f8b91e5f0e166df5d39a0785e332a9f85b569aa080b26cbaaedaf83b339782d3",
 }
 
 # (command, element) -> sha256 of its stdout on demos/fields.cfg
