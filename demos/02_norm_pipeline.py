@@ -8,9 +8,9 @@ norm and the pure decomposition.
     python demos/02_norm_pipeline.py
 """
 
-from tensornorm import (coordinatize, eliminate_dependent, min_coset_value,
-                        orthogonalize_left, parse_field_setup, pure_decompose,
-                        tensor_norm)
+from tensornorm import (Polynomial, TowerElem, coordinatize, eliminate_dependent,
+                        min_coset_value, orthogonalize_left, parse_field_setup,
+                        pure_decompose, tensor_norm)
 from tensornorm.parsing import format_tensor_elem, format_tower_elem, parse_tower_elem
 
 setup = parse_field_setup("""
@@ -39,7 +39,10 @@ cs = coordinatize(xs)
 print("\ncommon denominator:", cs.denominator)
 print("basis monomials:", [b[0] for b in cs.basis])
 print("matrix:", [[str(c) for c in row] for row in cs.matrix])
-print("round trip ok:", all(cs.reconstruct(row) == x for row, x in zip(cs.matrix, xs)))
+# over the closure each atom is a bare monomial: a row is a numerator
+rebuilt = [TowerElem.from_polys(K, Polynomial(K.config, K.nvars, {
+    exps: c for (exps, _), c in zip(cs.basis, row)}), cs.denominator) for row in cs.matrix]
+print("round trip ok:", rebuilt == xs)
 
 # ---------------------------------------------------------------------------
 # Least coset value: the cheapest representative of x + span over the base.

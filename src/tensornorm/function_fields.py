@@ -16,6 +16,10 @@ coefficients are unfolded over powers of the common level's generator.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+from operator import mul
+
 from .magnitude import Magnitude
 from .linalg import IncrementalSystem
 from .polynomials import Polynomial, exact_div, glex_key, poly_gcd, poly_lcm
@@ -53,6 +57,10 @@ class ExtensionDescriptor:
         self.side = side
         self.variables = tuple((n, m) for n, m in variables)
         self.config = config
+        # every exponent lies in (1/scale)Z: the monomial x^e has the value
+        # 2^(weight(e) / scale) for the integer weight(e)
+        self.scale = lcm(*(m.exponent.denominator for _, m in variables))
+        self.weights = tuple(int(m.exponent * self.scale) for _, m in variables)
 
     @property
     def nvars(self):
@@ -68,12 +76,13 @@ class ExtensionDescriptor:
                 return i
         raise KeyError(f"unknown variable {name!r} on side {self.side}")
 
-    def monomial_value(self, exps) -> Magnitude:
-        q = 0
-        for e, (_, mag) in zip(exps, self.variables):
-            if e:
-                q = q + e * mag.exponent
-        return Magnitude.pos(q)
+    def weight(self, exps) -> int:
+        """The integer weight of a monomial: its value is 2^(weight / scale)."""
+        return sum(map(mul, exps, self.weights))
+
+    def top_weight(self, poly) -> int:
+        """The largest weight of a monomial of a nonzero polynomial."""
+        return max(map(self.weight, poly.terms))
 
     def __repr__(self):
         vs = ", ".join(f"{n}:{m}" for n, m in self.variables)
@@ -84,12 +93,7 @@ def gauss_value(poly: Polynomial, descriptor: ExtensionDescriptor) -> Magnitude:
     """Largest monomial magnitude of a polynomial; zero for the zero poly."""
     if poly.is_zero:
         return Magnitude.zero()
-    best = None
-    for exps in poly.terms:
-        q = descriptor.monomial_value(exps)
-        if best is None or q > best:
-            best = q
-    return best
+    return Magnitude.pos(Fraction(descriptor.top_weight(poly), descriptor.scale))
 
 
 class TowerElem:
@@ -166,8 +170,9 @@ class TowerElem:
             if self.num.is_zero:
                 self._value = Magnitude.zero()
             else:
-                self._value = gauss_value(self.num, self.descriptor) * \
-                    gauss_value(self.den, self.descriptor) ** -1
+                desc = self.descriptor
+                self._value = Magnitude.pos(Fraction(
+                    desc.top_weight(self.num) - desc.top_weight(self.den), desc.scale))
         return self._value
 
     # -- arithmetic --------------------------------------------------------------
@@ -259,28 +264,18 @@ class CoordSystem:
         self.matrix = matrix
 
     def atom_grades(self):
-        """{magnitude: atom indices} over the basis (the generator power
-        contributes one).  Each monomial owns a run of coeff_level //
-        base_level consecutive atoms (one over the closure), so its value
-        is computed and hashed once for the whole run."""
+        """{weight: atom indices} over the basis: an atom has the value
+        2^(weight / descriptor.scale) of its monomial (the generator power
+        contributes one), so the weights order the atoms as their values
+        do.  Each monomial owns a run of coeff_level // base_level
+        consecutive atoms (one over the closure), so its weight is computed
+        once for the whole run."""
         span = 1 if self.base_level is None else self.coeff_level // self.base_level
-        value = self.descriptor.monomial_value
+        weight = self.descriptor.weight
         basis, grades = self.basis, {}
         for j in range(0, len(basis), span):
-            grades.setdefault(value(basis[j][0]), []).extend(range(j, j + span))
+            grades.setdefault(weight(basis[j][0]), []).extend(range(j, j + span))
         return grades
-
-    def reconstruct(self, row) -> TowerElem:
-        cfg = self.descriptor.config
-        n = self.descriptor.nvars
-        gen = cfg.generator(self.coeff_level)
-        num = Polynomial.zero(cfg, n)
-        for (exps, gpow), c in zip(self.basis, row):
-            if c.is_zero:
-                continue
-            coeff = c * gen**gpow
-            num = num + Polynomial.monomial(cfg, n, exps, coeff)
-        return TowerElem.from_polys(self.descriptor, num, self.denominator)
 
 
 def coordinatize(elems, base_level=None) -> CoordSystem:
@@ -404,13 +399,11 @@ def min_coset_value(x: TowerElem, span, base_level=None):
     d = len(span)
 
     grades = cs.atom_grades()
-    ordered = sorted(grades, reverse=True)
-
     system = IncrementalSystem(d, cfg)
-    for value in ordered:
+    for weight in sorted(grades, reverse=True):
         snapshot = len(system.pivots)
         consistent = True
-        for l in grades[value]:
+        for l in grades[weight]:
             coeffs_l = [rows[j][l] for j in range(d)]
             if system.add_equation(coeffs_l, -xi[l]) == IncrementalSystem.INCONSISTENT:
                 consistent = False

@@ -20,7 +20,7 @@ the result polynomial is built.
 
 from __future__ import annotations
 
-from operator import add as _int_add
+from operator import add as _int_add, sub as _int_sub
 
 from .closure import ClosureElem
 
@@ -260,7 +260,28 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         return Polynomial.constant(f.config, f.nvars, 1)
     if f.nvars == 1:
         return _gcd_univariate(f, g)
-    return _gcd_multivariate(f, g).monic()
+    # gcd(x^a f', x^b g') = x^min(a, b) gcd(f', g') when no variable
+    # divides f' or g': then x^a is prime to g' and x^b to f'
+    a, f = _strip_monomial(f)
+    b, g = _strip_monomial(g)
+    content = tuple(map(min, a, b))
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        # a stripped single term is a constant
+        return Polynomial.monomial(f.config, f.nvars, content, f.config.one())
+    gcd = _gcd_multivariate(f, g).monic()
+    if not any(content):
+        return gcd
+    return Polynomial(f.config, f.nvars,
+                      {tuple(map(_int_add, e, content)): c for e, c in gcd.terms.items()})
+
+
+def _strip_monomial(f):
+    """(a, f') with f = x^a f' and no variable dividing f'."""
+    a = tuple(map(min, zip(*f.terms)))
+    if not any(a):
+        return a, f
+    return a, Polynomial(f.config, f.nvars,
+                         {tuple(map(_int_sub, e, a)): c for e, c in f.terms.items()})
 
 
 def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -60,11 +60,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import lcm
 
 from .magnitude import Magnitude, scaled_compare
 from .linalg import first_dependency
 from .function_fields import (TowerElem, coordinatize, coordinatize_products,
-                              coordinatize_union, gauss_value, min_coset_value)
+                              coordinatize_union, min_coset_value)
 
 
 class InstanceInvalidError(ValueError):
@@ -352,12 +353,14 @@ def coefficient_matrix(z: TensorElem) -> CoefficientMatrix:
     return z._matrix
 
 
-def _grades(cs):
-    """(exponent, atom indices) for each distinct atom value, largest first;
-    the exponents are taken relative to the common denominator."""
-    shift = gauss_value(cs.denominator, cs.descriptor).exponent
-    return sorted(((value.exponent - shift, atoms)
-                   for value, atoms in cs.atom_grades().items()), reverse=True)
+def _grades(cs, lift):
+    """(weight, atom indices) for each distinct atom weight, largest first.
+    The weights are taken relative to the common denominator's largest
+    and multiplied by ``lift``: e_a = m_a / D has the value
+    2^(w / (lift * descriptor.scale)) for its weight w here."""
+    shift = cs.descriptor.top_weight(cs.denominator)
+    return sorted((((w - shift) * lift, atoms)
+                   for w, atoms in cs.atom_grades().items()), reverse=True)
 
 
 def tensor_norm(z: TensorElem) -> Magnitude:
@@ -369,16 +372,22 @@ def tensor_norm(z: TensorElem) -> Magnitude:
     (|e_a|, |f_b|) are visited largest product first; for each, only the
     entries of its block (the atom pairs of those two values) are
     computed, and the walk stops at the first nonzero entry.
+
+    Values are compared as integer weights over the common scale S of
+    both sides' exponent denominators; the one value built is the answer,
+    2^(weight / S).
     """
     if not z.term_count:
         return Magnitude.zero()
     m = coefficient_matrix(z)
-    left, right = _grades(m.left), _grades(m.right)
+    sl, sr = m.left.descriptor.scale, m.right.descriptor.scale
+    scale = lcm(sl, sr)
+    left, right = _grades(m.left, scale // sl), _grades(m.right, scale // sr)
     heap = [(-(left[0][0] + right[0][0]), 0, 0)]
     while heap:
         key, i, j = heappop(heap)
         if any(not m.entry_is_zero(a, b) for a in left[i][1] for b in right[j][1]):
-            return Magnitude.pos(-key)
+            return Magnitude.pos(Fraction(-key, scale))
         # each (i, j) is pushed once: by (i, j - 1), or by (i - 1, 0) when j = 0
         if j + 1 < len(right):
             heappush(heap, (-(left[i][0] + right[j + 1][0]), i, j + 1))

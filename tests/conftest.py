@@ -3,12 +3,14 @@
 The oracles here deliberately avoid the library's reduction pipeline:
 exhaustive enumeration for least coset values and linear solving,
 schoolbook factor search for irreducibility, direct expansion for value
-products and for tensor products, and full Gauss-Jordan elimination (``solve_linear``) for the
-library's incremental systems.  Derived expectations in the tests are
+products and for tensor products, Fraction sums for monomial values, and
+full Gauss-Jordan elimination (``solve_linear``) for the library's
+incremental systems.  Derived expectations in the tests are
 computed through these.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -178,6 +180,21 @@ def oracle_sum(z, w):
     """The sum of two tensors as a fresh representation of the
     concatenated terms, holding no coordinates."""
     return z.replace_terms(z.terms + w.terms)
+
+
+def oracle_monomial_value(descriptor, exps):
+    """The value of the monomial x^exps, its exponent summed as Fractions
+    from the variables' magnitudes (no integer weights)."""
+    q = Fraction(0)
+    for e, (_, mag) in zip(exps, descriptor.variables):
+        q += e * mag.exponent
+    return Magnitude.pos(q)
+
+
+def oracle_gauss_value(poly, descriptor):
+    """The largest monomial value of a polynomial; zero for zero."""
+    return max((oracle_monomial_value(descriptor, e) for e in poly.terms),
+               default=Magnitude.zero())
 
 
 def poly_is_irreducible_brute(coeffs, p):

@@ -16,7 +16,8 @@ from tensornorm.function_fields import ExtensionDescriptor, TowerElem
 from tensornorm.generators import gen_tower_elem
 from tensornorm.parsing import parse_tower_elem
 
-from conftest import brute_min_coset, enumerate_level, scenario
+from conftest import (brute_min_coset, enumerate_level, oracle_gauss_value,
+                      oracle_monomial_value, scenario)
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +27,19 @@ def kside(setup2):
 
 def _elem(desc, text):
     return parse_tower_elem(text, desc)
+
+
+def reconstruct(cs, row):
+    """The element with coordinates ``row`` in ``cs``: the sum of row[j]
+    times atom j, over the common denominator."""
+    cfg = cs.descriptor.config
+    n = cs.descriptor.nvars
+    gen = cfg.generator(cs.coeff_level)
+    num = Polynomial.zero(cfg, n)
+    for (exps, gpow), c in zip(cs.basis, row):
+        if not c.is_zero:
+            num = num + Polynomial.monomial(cfg, n, exps, c * gen**gpow)
+    return TowerElem.from_polys(cs.descriptor, num, cs.denominator)
 
 
 def test_gauss_value_examples(kside):
@@ -84,6 +98,46 @@ def test_positive_exponent_magnitudes(cfg2):
     assert f.value() == Magnitude.pos(Fraction(3, 2))  # largest power wins now
 
 
+def test_integer_weights_examples(cfg2):
+    desc = ExtensionDescriptor("L", [("u", Magnitude.pos(Fraction(-3, 7))),
+                                     ("v", Magnitude.pos(Fraction(1, 2)))], cfg2)
+    assert desc.scale == 14 and desc.weights == (-6, 7)
+    assert desc.weight((2, 1)) == -5  # u^2 v has the value 2^(-5/14)
+    assert _elem(desc, "u^2 * v / (1 + u)").value() == Magnitude.pos(Fraction(-5, 14))
+
+
+@pytest.mark.parametrize("base", ["closure", "1"])
+@pytest.mark.parametrize("k_vars, l_vars", [("t:-1 s:-1/2", "u:-1 v:1/3"),
+                                            ("t:2/5", "u:-3/7 v:1/2")],
+                         ids=["denominators-2-3", "denominators-5-14"])
+def test_integer_grades_match_fraction_values(base, k_vars, l_vars):
+    # atom grades, their order, Gauss values and element values against
+    # monomial values summed as Fractions
+    setup = parse_field_setup(f"p 2\nlevels 4\nbase {base}\nK {k_vars}\nL {l_vars}\n")
+    level = None if base == "closure" else 1
+    rng = SplitMix64(82)
+    sc = scenario(max_degree=4)
+    for desc in (setup.left, setup.right):
+        for _ in range(15):
+            xs = [gen_tower_elem(desc, sc, rng) for _ in range(3)]
+            for x in xs:
+                for poly in (x.num, x.den):
+                    assert gauss_value(poly, desc) == oracle_gauss_value(poly, desc)
+                expected = oracle_gauss_value(x.num, desc) * \
+                    oracle_gauss_value(x.den, desc) ** -1
+                assert x.value() == expected
+            cs = coordinatize(xs, base_level=level)
+            grades = cs.atom_grades()
+            assert sorted(j for atoms in grades.values() for j in atoms) == \
+                list(range(len(cs.basis)))
+            values = []
+            for w in sorted(grades):
+                found = {oracle_monomial_value(desc, cs.basis[j][0]) for j in grades[w]}
+                assert found == {Magnitude.pos(Fraction(w, desc.scale))}
+                values.extend(found)
+            assert values == sorted(set(values))  # weights order atoms as values do
+
+
 def test_coordinatize_examples(kside):
     one = _elem(kside, "1")
     t = _elem(kside, "t")
@@ -118,7 +172,7 @@ def test_coordinatize_round_trip(kside, setup2_base1):
             xs = [gen_tower_elem(desc, sc, rng) for _ in range(1 + rng.below(3))]
             cs = coordinatize(xs, base_level=base)
             for x, row in zip(xs, cs.matrix):
-                assert cs.reconstruct(row) == x
+                assert reconstruct(cs, row) == x
             if base is not None:
                 for row in cs.matrix:
                     for entry in row:
@@ -142,7 +196,7 @@ def test_coordinates_over_gf_p_solve_no_system(monkeypatch):
         cs = coordinatize(xs, base_level=1)
         levels.add(cs.coeff_level)
         for x, row in zip(xs, cs.matrix):
-            assert cs.reconstruct(row) == x
+            assert reconstruct(cs, row) == x
     assert 4 in levels
 
 

@@ -100,6 +100,30 @@ def test_gcd_recovers_common_factor(cfg2, cfg3):
                 assert exact_div(g, h.monic()) is not None
 
 
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_gcd_monomial_content_matches_subresultant(cfg2, cfg3, nvars):
+    # poly_gcd splits off x^min(a, b) and answers at once for a single-term
+    # cofactor; the subresultant sequence on the whole inputs is the oracle
+    rng = SplitMix64(60 + nvars)
+    shortcut = both = 0
+    for cfg in (cfg2, cfg3):
+        for _ in range(6):
+            a, b, h = (_rand_poly(cfg, rng, nvars, max_deg=2, nonzero=True) for _ in range(3))
+            xa, xb = (Polynomial.monomial(cfg, nvars, [rng.below(3) for _ in range(nvars)],
+                                          cfg.one()) for _ in range(2))
+            for f, g in ((a, b), (a * h, b * h), (xa * a * h, xb * b * h), (xa * a, xb * h),
+                         (xa * a, xb)):
+                if f.is_constant or g.is_constant:
+                    continue
+                got = poly_gcd(f, g)
+                assert got == polynomials._gcd_multivariate(f, g).monic()
+                single = len(f.terms) == 1 or len(g.terms) == 1
+                shortcut += single
+                # a monomial factor and a polynomial one
+                both += not single and len(got.terms) > 1 and any(map(min, zip(*got.terms)))
+    assert shortcut >= 10 and both >= 5
+
+
 def test_gcd_is_canonical(cfg2):
     rng = SplitMix64(58)
     for _ in range(20):

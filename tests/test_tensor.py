@@ -4,6 +4,8 @@ Representation searches (random rewrites that provably preserve the
 element) serve as the falsification oracle for the computed infimum.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from tensornorm import (InstanceInvalidError, Magnitude, SplitMix64, TensorElem,
@@ -12,9 +14,10 @@ from tensornorm import (InstanceInvalidError, Magnitude, SplitMix64, TensorElem,
                         value_estimate_check)
 from tensornorm.generators import gen_tensor_elem, random_rewrite
 from tensornorm.parsing import parse_tower_elem
+from tensornorm.tensor import coefficient_matrix
 
-from conftest import (brute_min_coset, enumerate_level, oracle_product, oracle_sum,
-                      scenario)
+from conftest import (brute_min_coset, enumerate_level, oracle_gauss_value,
+                      oracle_monomial_value, oracle_product, oracle_sum, scenario)
 
 
 def _z(setup, text):
@@ -206,6 +209,69 @@ def test_matrix_norm_equals_sweep_norm(p, base, k_vars, l_vars):
         r = random_rewrite(z, setup, sc, rng)
         for e in (z, z * w, z + w, r, z - r, z - z):
             assert tensor_norm(e) == orthogonalize_left(e).norm, e
+
+
+def oracle_matrix_norm(z):
+    """max |e_a| |f_b| over the nonzero entries of the coefficient matrix,
+    every entry computed and every value a Fraction sum."""
+    if not z.term_count:
+        return Magnitude.zero()
+    m = coefficient_matrix(z)
+    sides = []
+    for cs in (m.left, m.right):
+        shift = oracle_gauss_value(cs.denominator, cs.descriptor) ** -1
+        sides.append([oracle_monomial_value(cs.descriptor, exps) * shift
+                      for exps, _ in cs.basis])
+    return max((va * vb for a, va in enumerate(sides[0]) for b, vb in enumerate(sides[1])
+                if not m.entry_is_zero(a, b)), default=Magnitude.zero())
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("base", ["closure", "1"])
+@pytest.mark.parametrize("k_vars, l_vars", [("t:-1 s:-1/2", "u:-1 v:1/3"),
+                                            ("t:2/5", "u:-3/7 v:1/2")],
+                         ids=["denominators-2-3", "denominators-5-14"])
+def test_norm_on_integer_weights_matches_fraction_values(p, base, k_vars, l_vars):
+    # sides whose exponent denominators differ: the heap walk on weights
+    # lifted to a common scale against the whole matrix valued by Fractions
+    setup = parse_field_setup(f"p {p}\nlevels 4\nbase {base}\nK {k_vars}\nL {l_vars}\n")
+    rng = SplitMix64(300 + p)
+    sc = scenario(p=p, max_terms=2, max_degree=3)
+    for _ in range(10):
+        z = gen_tensor_elem(setup, sc, rng)
+        w = gen_tensor_elem(setup, sc, rng)
+        for e in (z, z * w, z + w, z - z):
+            assert tensor_norm(e) == oracle_matrix_norm(e), e
+
+
+def test_norm_builds_one_value(monkeypatch):
+    # the grades and the heap walk run on integer weights: a norm builds
+    # one Magnitude, its answer, whatever the number of monomials
+    setup = parse_field_setup("p 2\nlevels 4\nbase 1\nK t:2/5\nL u:-3/7 v:1/2\n")
+    rng = SplitMix64(310)
+    sc = scenario(max_terms=3, max_degree=5)
+    elems = []
+    for _ in range(10):
+        z = gen_tensor_elem(setup, sc, rng)
+        elems.extend((z, z * gen_tensor_elem(setup, sc, rng), z - z))
+    built = {Magnitude: 0, Fraction: 0}
+
+    def counting(cls, method):
+        def wrapper(*args, **kwargs):
+            built[cls] += 1
+            return method(*args, **kwargs)
+        monkeypatch.setattr(cls, method.__name__, wrapper)
+
+    counting(Magnitude, Magnitude.__init__)
+    counting(Fraction, Fraction.__new__)
+    atoms = 0
+    for e in elems:
+        built[Magnitude] = built[Fraction] = 0
+        norm = tensor_norm(e)  # coordinatizes the elements that hold no matrix
+        atoms += sum(len(cs.basis) for cs in (e._matrix.left, e._matrix.right))
+        assert built[Magnitude] == (0 if norm.is_zero else 1)
+        assert built[Fraction] <= 2  # Fraction(weight, scale), copied by Magnitude
+    assert atoms > 50 * len(elems)
 
 
 @pytest.mark.parametrize("p", [2, 3])
