@@ -6,7 +6,9 @@ L): an ordered list of transcendentals, each carrying a positive magnitude
 sparse polynomials; the value of a polynomial is the largest magnitude of
 a monomial appearing in it (coefficients all have magnitude one, the
 closure being trivially valued), and extends multiplicatively to
-fractions.
+fractions.  Values are computed as integer weights: with ``scale`` the
+lcm of a side's exponent denominators, the monomial x^e has the value
+2^(weight(e) / scale), and a Magnitude is built only for a result.
 
 Coordinatization expresses a list of elements over a common denominator
 as exact coordinate vectors over a chosen base field: either the whole

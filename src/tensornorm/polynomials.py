@@ -7,8 +7,10 @@ degree first, ties broken lexicographically with the first variable most
 significant.
 
 Division is exact multivariate division; gcds use the Euclidean remainder
-sequence for one variable and a subresultant pseudo-remainder sequence in
-a recursive representation for several.  Results are normalized so the
+sequence for one variable and, for several, split off the monomial
+content (gcd(x^a f, x^b g) = x^min(a, b) gcd(f, g) when no variable
+divides f or g) before a subresultant pseudo-remainder sequence in a
+recursive representation.  Results are normalized so the
 graded-lex leading coefficient is one.
 
 Products, exact division and the univariate Euclid run on integer codes:

@@ -46,7 +46,11 @@ that hold one is coordinatized over lcm(D_z, D_w) for one gcd.
 
 :func:`tensor_norm` evaluates this formula, visiting value pairs from
 the largest product down and computing only the entries it needs;
-:func:`is_zero` tests M for zero.  The reduction pipeline stays as the
+:func:`is_zero` tests M for zero.  The values are graded by integers:
+every exponent of a side lies in (1/S)Z for S the lcm of its exponent
+denominators (the side's ``scale``), so |e_a| = 2^(w_a / S) for an
+integer weight w_a; the walk adds the two sides' weights lifted to the
+lcm of their scales, and builds one Magnitude, for the norm it returns.  The reduction pipeline stays as the
 audited certificate behind ``norm``, ``reduce`` and ``decompose``, and
 as the independent oracle for the formula: make both factor families
 linearly independent over the base, then sweep the left factors,
