@@ -50,14 +50,15 @@ the largest product down and computing only the entries it needs;
 every exponent of a side lies in (1/S)Z for S the lcm of its exponent
 denominators (the side's ``scale``), so |e_a| = 2^(w_a / S) for an
 integer weight w_a; the walk adds the two sides' weights lifted to the
-lcm of their scales, and builds one Magnitude, for the norm it returns.  The reduction pipeline stays as the
-audited certificate behind ``norm``, ``reduce`` and ``decompose``, and
-as the independent oracle for the formula: make both factor families
-linearly independent over the base, then sweep the left factors,
-replacing each by the least-value representative of its coset modulo
-the preceding ones and compensating on the right, so that the infimum is
-attained by the resulting representation and read off as its maximum
-(:class:`ReducedRep`).
+lcm of their scales, and builds one Magnitude, for the norm it returns.
+
+The reduction pipeline stays as the audited certificate behind ``norm``,
+``reduce`` and ``decompose``, and as the independent oracle for the
+formula: make both factor families linearly independent over the base,
+then sweep the left factors, replacing each by the least-value
+representative of its coset modulo the preceding ones and compensating
+on the right, so that the infimum is attained by the resulting
+representation and read off as its maximum (:class:`ReducedRep`).
 """
 
 from __future__ import annotations
